@@ -5,8 +5,8 @@ holds, for μ between 0.75 and 0.95, with the value at μ = √3/2 highlighted
 (the paper refines it to m* = 8).  This benchmark regenerates the curve from
 the calibrated reconstruction in :mod:`repro.core.theory`, asserts its shape
 (monotone non-decreasing, anchor value 8, range ≈ 5…21) and cross-checks a
-few points with the empirical adversarial search.  See ``EXPERIMENTS.md`` for
-the reconstruction caveat.
+few points with the empirical adversarial search.  See the reconstruction
+note in :mod:`repro.core.theory` for the caveat.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 
 Runs the √3 scheduler against the two-phase baselines and the naive anchors
 over several workload families and machine sizes, printing the aggregate
-table of ``EXPERIMENTS.md`` and the per-machine-size breakdown.  Smaller and
+comparison table and the per-machine-size breakdown.  Smaller and
 faster than the full benchmark (``benchmarks/bench_expA_comparison.py``) so
 it can be used interactively; pass ``--full`` for the benchmark-sized sweep.
 

@@ -1,7 +1,7 @@
 """Experiment harness: algorithm comparisons over workload sweeps.
 
-This is the machinery behind the EXP-A/EXP-B/EXP-C rows of ``EXPERIMENTS.md``
-and behind ``python -m repro compare``.  It runs a set of schedulers over a
+This is the machinery behind the EXP-A/EXP-B/EXP-C benchmarks
+(``benchmarks/bench_exp*.py``) and behind ``python -m repro compare``.  It runs a set of schedulers over a
 grid of workloads (family × machine size × repetitions), measures every run
 against the strongest lower bound and aggregates the approximation ratios.
 

@@ -28,7 +28,7 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """GitHub-flavoured markdown table (used to refresh EXPERIMENTS.md)."""
+    """GitHub-flavoured markdown table (e.g. for pasting results into README.md)."""
     str_rows = [[_stringify(v) for v in row] for row in rows]
     lines = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
     for row in str_rows:

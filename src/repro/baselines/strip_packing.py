@@ -23,7 +23,8 @@ produced by the allotment-selection phase has height at most the makespan
 target, in which case FFDH's shelves give an absolute factor well below 3 and
 empirically close to 2 — the baseline therefore keeps the behaviour the paper
 ascribes to it (a constant-factor two-phase method limited by its general
-strip-packing phase).  See ``DESIGN.md`` and ``EXPERIMENTS.md``.
+strip-packing phase).  ``benchmarks/bench_expA_comparison.py`` measures the
+two-phase baselines built on it against the √3 scheduler.
 """
 
 from __future__ import annotations

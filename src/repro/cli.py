@@ -491,59 +491,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the HTTP scheduling service until interrupted or shut down."""
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.shards > 1:
-        return _cmd_serve_cluster(args)
-    # Single-process daemon: --shards 1 degrades to exactly this path.
-    from .obs.slo import SLO
-    from .service import SchedulerService, make_server
-
-    service = SchedulerService(
-        workers=args.workers,
-        prefer=args.prefer,
-        batch_size=args.batch_size,
-        batch_wait=args.batch_wait_ms / 1e3,
-        cache_capacity=args.cache_capacity,
-        cache_ttl=args.cache_ttl,
-        purge_interval=args.purge_interval,
-        max_pending=args.max_pending,
-        sample_interval=args.sample_interval or None,
-        slo=SLO(p99_ms=args.slo_p99_ms),
-    )
-    server = make_server(
-        args.host,
-        args.port,
-        service,
-        transport=args.transport,
-        allow_shutdown=args.allow_shutdown,
-        verbose=args.verbose,
-    )
-    host, port = server.server_address[:2]
-    print(
-        f"scheduling service listening on http://{host}:{port} "
-        f"(transport={args.transport}, "
-        f"workers={service.workers}, pool={service.pool_kind}, "
-        f"cache={service.cache.capacity}"
-        + (f", ttl={service.cache.ttl:g}s" if service.cache.ttl else "")
-        + ")",
-        flush=True,
-    )
-    if args.ready_file is not None:
-        args.ready_file.write_text(f"{host} {port}\n")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        server.server_close()
-        service.close()
-    print("scheduling service stopped", flush=True)
-    return 0
-
-
 def _shard_spec_from_args(args: argparse.Namespace):
     from .service.cluster import ShardSpec
 
@@ -563,51 +510,71 @@ def _shard_spec_from_args(args: argparse.Namespace):
     )
 
 
-def _cmd_serve_cluster(args: argparse.Namespace) -> int:
-    """Run the sharded cluster: N shard workers behind the consistent-hash router."""
-    from .obs.slo import SLO
-    from .service.cluster import ClusterSupervisor, make_router
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Run the HTTP scheduling service until interrupted or shut down.
 
-    supervisor = ClusterSupervisor(
-        args.shards,
-        spec=_shard_spec_from_args(args),
-        backend=args.shard_backend,
-        vnodes=args.vnodes,
-    ).start()
-    try:
-        router = make_router(
-            (args.host, args.port),
+    ``--shards 1`` serves a single-process daemon; more shards run N shard
+    workers behind the consistent-hash router.  The daemon's service and
+    every shard's come from the same :class:`ShardSpec`.
+    """
+    if args.shards < 1:
+        raise SystemExit("--shards must be >= 1")
+    from .obs.slo import SLO
+    from .service import ClusterSupervisor, DaemonApp, RouterApp, make_transport
+
+    spec = _shard_spec_from_args(args)
+    ttl = f", ttl={args.cache_ttl:g}s" if args.cache_ttl else ""
+    supervisor = None
+    if args.shards == 1:
+        service = spec.build_service()
+        app = DaemonApp(
+            service, allow_shutdown=args.allow_shutdown, verbose=args.verbose
+        )
+        name = "scheduling service"
+        details = (
+            f"transport={args.transport}, "
+            f"workers={service.workers}, pool={service.pool_kind}, "
+            f"cache={service.cache.capacity}{ttl}"
+        )
+    else:
+        supervisor = ClusterSupervisor(
+            args.shards, spec=spec, backend=args.shard_backend, vnodes=args.vnodes
+        ).start()
+        app = RouterApp(
             supervisor,
-            transport=args.transport,
             allow_shutdown=args.allow_shutdown,
             verbose=args.verbose,
             slo=SLO(p99_ms=args.slo_p99_ms),
         )
+        name = "sharded scheduling cluster"
+        details = (
+            f"shards={supervisor.num_shards}, backend={supervisor.backend}, "
+            f"transport={args.transport}, vnodes={supervisor.ring.vnodes}, "
+            f"cache={args.cache_capacity}x{supervisor.num_shards}{ttl}"
+        )
+    try:
+        server = make_transport(
+            args.transport, (args.host, args.port), app, verbose=args.verbose
+        )
     except Exception:
-        supervisor.close()
+        app.close()
+        if supervisor is not None:
+            supervisor.close()
         raise
-    host, port = router.server_address[:2]
-    print(
-        f"sharded scheduling cluster listening on http://{host}:{port} "
-        f"(shards={supervisor.num_shards}, backend={supervisor.backend}, "
-        f"transport={args.transport}, "
-        f"vnodes={supervisor.ring.vnodes}, "
-        f"cache={args.cache_capacity}x{supervisor.num_shards}"
-        + (f", ttl={args.cache_ttl:g}s" if args.cache_ttl else "")
-        + ")",
-        flush=True,
-    )
+    host, port = server.server_address[:2]
+    print(f"{name} listening on http://{host}:{port} ({details})", flush=True)
     if args.ready_file is not None:
         args.ready_file.write_text(f"{host} {port}\n")
     try:
-        router.serve_forever()
+        server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     finally:
-        router.server_close()
-        router.connections.close_all()
-        supervisor.close()
-    print("sharded scheduling cluster stopped", flush=True)
+        server.server_close()
+        app.close()
+        if supervisor is not None:
+            supervisor.close()
+    print(f"{name} stopped", flush=True)
     return 0
 
 

@@ -23,14 +23,17 @@ The paper's Theorems 2 and 3 prove that under their hypotheses (in particular
 ``m ≥ m*(μ)``) at least one branch must succeed whenever a schedule of length
 ``d`` exists, which makes rejection sound and the overall algorithm a
 ``√3(1+ε)``-approximation.  Because a few appendix constants are illegible in
-the available text (see ``DESIGN.md``), this implementation does not rely on
-that implication for its *correctness*: a rejection that follows a failed
-branch cascade is only used to steer the dichotomic search, and the scheduler
-additionally evaluates the unconditional ``(2 − 2/(m+1))``-guarantee
+the available text (see the reconstruction note in :mod:`repro.core.theory`),
+this implementation does not rely on that implication for its
+*correctness*: a rejection that follows a failed branch cascade is only
+used to steer the dichotomic search, and the scheduler additionally
+evaluates the unconditional ``(2 − 2/(m+1))``-guarantee
 malleable-list schedule, returning whichever schedule is shortest.  The
 result is therefore always a valid schedule with ratio at most
-``2 − 2/(m+1)`` and, on every workload exercised in ``EXPERIMENTS.md``,
-within √3 of the lower bound — matching the paper's claim.
+``2 − 2/(m+1)`` and, on every workload exercised by the EXP-A and THM3
+benchmarks (``benchmarks/bench_expA_comparison.py``,
+``benchmarks/bench_thm3_guarantee.py``), within √3 of the lower bound —
+matching the paper's claim.
 """
 
 from __future__ import annotations

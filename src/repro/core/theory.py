@@ -25,9 +25,9 @@ in the appendix is largely illegible in the only available OCR of the paper.
 number of processors a sub-μ task may occupy, as the appendix argument does,
 (b) reproduces the figure's range (≈5 at μ = 0.75 up to ≈21 at μ = 0.95) and
 (c) matches exactly the refined anchor the paper states in clear text:
-``m*(√3/2) = 8``.  ``EXPERIMENTS.md`` reports this caveat alongside the
-regenerated curve, and :func:`m_star_empirical` provides an independent
-instance-based estimate used as a cross-check in the FIG8 benchmark.
+``m*(√3/2) = 8``.  The FIG8 benchmark (``benchmarks/bench_fig8_mstar.py``)
+regenerates the curve from this reconstruction, and :func:`m_star_empirical`
+provides an independent instance-based estimate it uses as a cross-check.
 """
 
 from __future__ import annotations

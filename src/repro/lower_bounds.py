@@ -1,6 +1,7 @@
 """Makespan lower bounds for malleable-task instances.
 
-The approximation ratios reported in ``EXPERIMENTS.md`` are measured against
+The approximation ratios reported by :mod:`repro.analysis.experiments` (and
+``python -m repro compare``) are measured against
 these lower bounds (and, on small instances, against the exact optimum from
 :mod:`repro.baselines.optimal`).  Three bounds are provided, each valid even
 against preemptive and non-contiguous optimal schedules:

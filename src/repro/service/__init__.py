@@ -10,13 +10,15 @@ Turns the package's one-shot schedulers into a long-lived serving stack:
   WSGI-style core (``Request``/``Response``/``App``) plus two interchangeable
   frontends — threaded ``http.server`` (default) and a single-event-loop
   ``asyncio`` transport — serving byte-identical responses;
-* :mod:`~repro.service.server` — the daemon/shard application
-  (``POST /schedule``, ``GET /healthz``, ``GET /metrics``) over that layer;
+  ``make_transport(kind, address, app)`` is the one way to bind an app;
+* :mod:`~repro.service.server` — :class:`DaemonApp`, the daemon/shard
+  application (``POST /schedule``, ``GET /healthz``, ``GET /metrics``) over
+  that layer, and :func:`start_background_server`;
 * :mod:`~repro.service.client` — ``urllib`` client (with 503 retry/backoff);
 * :mod:`~repro.service.loadtest` — cold/warm load generator used by
   ``python -m repro loadtest`` and the service throughput benchmark;
 * :mod:`~repro.service.cluster` — sharded cluster: consistent-hash cache
-  shards (``ShardRing``), per-shard worker processes, the ``ShardRouter``
+  shards (``ShardRing``), per-shard worker processes, the ``RouterApp``
   frontend and the ``ClusterSupervisor`` (``serve --shards N``).
 """
 
@@ -31,18 +33,13 @@ from .core import (
     request_from_payload,
 )
 from .loadtest import build_workload_payloads, run_loadtest
-from .http import TRANSPORTS
-from .server import (
-    DaemonApp,
-    ServiceHTTPServer,
-    make_server,
-    start_background_server,
-)
+from .http import TRANSPORTS, make_transport
+from .server import DaemonApp, start_background_server
 from .cluster import (
     ClusterHandle,
     ClusterSupervisor,
+    RouterApp,
     ShardRing,
-    ShardRouterServer,
     ShardSpec,
     start_cluster,
 )
@@ -55,19 +52,18 @@ __all__ = [
     "LRUTTLCache",
     "MISS",
     "ReplayStreamError",
+    "RouterApp",
     "TRANSPORTS",
     "ScheduleRequest",
     "SchedulerService",
     "ServiceClient",
     "ServiceHTTPError",
-    "ServiceHTTPServer",
     "ShardRing",
-    "ShardRouterServer",
     "ShardSpec",
     "build_workload_payloads",
     "canonical_json",
     "compute_response",
-    "make_server",
+    "make_transport",
     "payload_fingerprint",
     "request_from_payload",
     "run_loadtest",

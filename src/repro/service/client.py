@@ -124,10 +124,17 @@ class ServiceClient:
         conn.close()
         self._local.conn = None
 
-    def _request_once(
-        self, path: str, body: bytes | None, *, method: str, decode: str = "json"
-    ) -> Any:
-        headers = {"Accept": "application/json"}
+    def _send_once(
+        self, method: str, path: str, body: bytes | None, *, stream: bool = False
+    ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse, bytes | None]:
+        """One exchange on this thread's connection; ``(conn, response, data)``.
+
+        ``data`` is the whole response body, except for a successful
+        ``stream`` request: then it is ``None`` and the caller reads the
+        body off ``response`` (``conn`` stays this thread's connection).
+        A status >= 400 raises :class:`ServiceHTTPError`.
+        """
+        headers = {"Accept": "application/x-ndjson" if stream else "application/json"}
         if body is not None:
             headers["Content-Type"] = "application/json"
         for attempt in (0, 1):
@@ -137,7 +144,7 @@ class ServiceClient:
                     method, self._base_path + path, body=body, headers=headers
                 )
                 response = conn.getresponse()
-                data = response.read()
+                data = None if stream and response.status < 400 else response.read()
             except (http.client.HTTPException, OSError):
                 self._drop_connection(conn)
                 # A reused connection may have been closed by the server
@@ -146,13 +153,13 @@ class ServiceClient:
                 if reused and attempt == 0:
                     continue
                 raise
-            # Trace ids travel in a response header (never the body, which
-            # must stay byte-identical); remember the last one per thread so
-            # callers can fetch the matching /trace/<id> document.
-            self._local.last_trace_id = response.getheader("X-Repro-Trace-Id")
-            if response.will_close:
-                self._drop_connection(conn)
             break
+        # Trace ids travel in a response header (never the body, which
+        # must stay byte-identical); remember the last one per thread so
+        # callers can fetch the matching /trace/<id> document.
+        self._local.last_trace_id = response.getheader("X-Repro-Trace-Id")
+        if data is not None and response.will_close:
+            self._drop_connection(conn)
         if response.status >= 400:
             try:
                 error_body = json.loads(data)
@@ -161,9 +168,23 @@ class ServiceClient:
             raise ServiceHTTPError(
                 response.status, error_body, f"{self.base_url}{path}"
             )
-        if decode == "text":
-            return data.decode()
-        return json.loads(data)
+        return conn, response, data
+
+    def _send(
+        self, method: str, path: str, body: bytes | None, *, stream: bool = False
+    ):
+        """:meth:`_send_once`, retrying 503s with the capped jittered backoff."""
+        attempt = 0
+        while True:
+            try:
+                return self._send_once(method, path, body, stream=stream)
+            except ServiceHTTPError as exc:
+                if exc.status != 503 or attempt >= self._retry_policy.retries:
+                    raise
+            with self._retry_lock:
+                self.retries_total += 1
+            self._retry_policy.sleep(attempt)
+            attempt += 1
 
     def _request(
         self,
@@ -178,17 +199,7 @@ class ServiceClient:
             body, method = json.dumps(payload).encode(), "POST"
         else:
             body, method = None, "GET"
-        attempt = 0
-        while True:
-            try:
-                return self._request_once(path, body, method=method)
-            except ServiceHTTPError as exc:
-                if exc.status != 503 or attempt >= self._retry_policy.retries:
-                    raise
-            with self._retry_lock:
-                self.retries_total += 1
-            self._retry_policy.sleep(attempt)
-            attempt += 1
+        return json.loads(self._send(method, path, body)[2])
 
     def close(self) -> None:
         """Close this thread's keep-alive connection (best effort)."""
@@ -224,9 +235,7 @@ class ServiceClient:
 
     def metrics_prometheus(self) -> str:
         """The Prometheus text exposition (``GET /metrics?format=prometheus``)."""
-        return self._request_once(
-            "/metrics?format=prometheus", None, method="GET", decode="text"
-        )
+        return self._send_once("GET", "/metrics?format=prometheus", None)[2].decode()
 
     def trace(self, trace_id: str) -> dict:
         """One stitched trace document (``GET /trace/<id>``); 404 raises."""
@@ -332,48 +341,9 @@ class ServiceClient:
             body["trace"] = trace.as_dict() if isinstance(trace, Instance) else trace
         else:
             body["generate"] = generate
-        raw = json.dumps(body).encode()
-        attempt = 0
-        while True:
-            try:
-                return self._replay_once(raw, on_epoch)
-            except ServiceHTTPError as exc:
-                if exc.status != 503 or attempt >= self._retry_policy.retries:
-                    raise
-            with self._retry_lock:
-                self.retries_total += 1
-            self._retry_policy.sleep(attempt)
-            attempt += 1
-
-    def _replay_once(self, raw: bytes, on_epoch) -> dict:
-        """One streamed ``/replay`` exchange on this thread's connection."""
-        headers = {
-            "Content-Type": "application/json",
-            "Accept": "application/x-ndjson",
-        }
-        for attempt in (0, 1):
-            conn, reused = self._connection()
-            try:
-                conn.request("POST", self._base_path + "/replay", body=raw, headers=headers)
-                response = conn.getresponse()
-            except (http.client.HTTPException, OSError):
-                self._drop_connection(conn)
-                if reused and attempt == 0:
-                    continue  # idle keep-alive closed by the server
-                raise
-            break
-        self._local.last_trace_id = response.getheader("X-Repro-Trace-Id")
-        if response.status >= 400:
-            data = response.read()
-            if response.will_close:
-                self._drop_connection(conn)
-            try:
-                error_body = json.loads(data)
-            except (json.JSONDecodeError, ValueError):
-                error_body = None
-            raise ServiceHTTPError(
-                response.status, error_body, f"{self.base_url}/replay"
-            )
+        conn, response, _ = self._send(
+            "POST", "/replay", json.dumps(body).encode(), stream=True
+        )
         final: dict | None = None
         try:
             # http.client decodes the chunked framing; each readline is one

@@ -11,9 +11,10 @@ set.  This package scales the cache *horizontally* instead:
   its hits locally;
 * :mod:`~repro.service.cluster.supervisor` — :class:`ClusterSupervisor`,
   spawn/monitor/respawn plus fleet-wide metrics and purge fan-out;
-* :mod:`~repro.service.cluster.router` — :class:`ShardRouterServer`, the
-  HTTP frontend that fingerprints raw payloads and relays them verbatim to
-  the owning shard (responses stay byte-identical to the daemon's).
+* :mod:`~repro.service.cluster.router` — :class:`RouterApp`, the HTTP
+  frontend app that fingerprints raw payloads and relays them verbatim to
+  the owning shard (responses stay byte-identical to the daemon's); bind it
+  with ``make_transport(kind, address, RouterApp(supervisor))``.
 
 Shared-nothing eviction protocol: no cross-shard invalidation exists or is
 needed (keys are partitioned), entries age out via TTL + the periodic
@@ -27,8 +28,6 @@ from .ring import KEY_PREFIX_LEN, ShardRing
 from .router import (
     ClusterHandle,
     RouterApp,
-    ShardRouterServer,
-    make_router,
     routing_info,
     start_cluster,
 )
@@ -49,10 +48,8 @@ __all__ = [
     "RouterApp",
     "ShardHandle",
     "ShardRing",
-    "ShardRouterServer",
     "ShardSpec",
     "ThreadShardHandle",
-    "make_router",
     "routing_info",
     "run_shard",
     "start_cluster",

@@ -26,8 +26,9 @@ shard-side code path as the daemon's.
 
 Like the daemon (:mod:`repro.service.server`), the router is an
 app/transport split: :class:`RouterApp` holds every route and all routing
-state, and either transport of :mod:`repro.service.http` binds it to a
-socket — ``start_cluster(..., transport="asyncio")`` serves the same
+state, and :func:`~repro.service.http.make_transport` binds it to a socket
+— ``make_transport("asyncio", address, RouterApp(supervisor))`` (or
+``start_cluster(..., transport="asyncio")``) serves the same
 byte-identical responses from one event loop.
 
 ``POST /replay`` routes by ``(trace-prefix, kernel)`` — the fingerprint of
@@ -53,6 +54,7 @@ import threading
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
+from typing import Any
 
 from ...exceptions import ClusterError
 from ...lint.registry import build_info as lint_build_info
@@ -65,18 +67,13 @@ from ...obs.timeseries import WindowDelta
 from ...obs.tracing import Trace, TraceStore, Tracer
 from ..cache import MISS, LRUTTLCache
 from ..core import canonical_json, payload_fingerprint
-from ..http import ConnectionPool, Request, Response, Route
-from ..http.aio import AsyncioTransport
-from ..http.app import App
-from ..http.threaded import ThreadedTransport
+from ..http import App, ConnectionPool, Request, Response, Route, make_transport
 from .supervisor import ClusterSupervisor
 from .worker import ShardSpec
 
 __all__ = [
     "ClusterHandle",
     "RouterApp",
-    "ShardRouterServer",
-    "make_router",
     "replay_routing_key",
     "routing_info",
     "start_cluster",
@@ -91,6 +88,14 @@ def routing_info(raw: bytes) -> tuple[str, dict[str, str]]:
     (``X-Repro-*``) or empty when the fast path does not apply.  Never
     raises: undecodable bodies are routed by a content hash and rejected by
     the owning shard with exactly the daemon's error response.
+
+    The headers are sent only for a body the shard's own parser accepts
+    under the very same key; a fast hit would otherwise answer 200 where
+    the daemon answers 400.  Bodies carrying both ``instance`` and
+    ``generate``, ill-typed ``algorithm``/``params`` and algorithm names no
+    header carries verbatim (non-ASCII, control characters such as CR/LF,
+    surrounding blanks) route by content alone, so the shard's request
+    parser produces the canonical 400.
     """
     try:
         payload = json.loads(raw)
@@ -103,22 +108,27 @@ def routing_info(raw: bytes) -> tuple[str, dict[str, str]]:
             if fingerprint is not None:
                 algorithm = payload.get("algorithm", "mrt")
                 params = payload.get("params", {})
-                if isinstance(algorithm, str) and isinstance(params, dict):
-                    try:
-                        params_json = canonical_json(params)
-                    except (TypeError, ValueError):  # pragma: no cover
-                        return fingerprint, {}
-                    return fingerprint, {
-                        "X-Repro-Fingerprint": fingerprint,
-                        "X-Repro-Algorithm": algorithm,
-                        "X-Repro-Params": params_json,
-                        "X-Repro-Validate": (
-                            "1" if payload.get("validate", False) else "0"
-                        ),
-                    }
-                # Ill-typed algorithm/params: still route by content so the
-                # shard's request parser produces the canonical 400.
-                return fingerprint, {}
+                if (
+                    "generate" in payload
+                    or not isinstance(params, dict)
+                    or not isinstance(algorithm, str)
+                    or not algorithm.isascii()
+                    or not algorithm.isprintable()
+                    or algorithm != algorithm.strip()
+                ):
+                    return fingerprint, {}
+                try:
+                    params_json = canonical_json(params)
+                except (TypeError, ValueError):  # pragma: no cover
+                    return fingerprint, {}
+                return fingerprint, {
+                    "X-Repro-Fingerprint": fingerprint,
+                    "X-Repro-Algorithm": algorithm,
+                    "X-Repro-Params": params_json,
+                    "X-Repro-Validate": (
+                        "1" if payload.get("validate", False) else "0"
+                    ),
+                }
     try:
         canon = canonical_json(payload)
     except (TypeError, ValueError):
@@ -128,6 +138,12 @@ def routing_info(raw: bytes) -> tuple[str, dict[str, str]]:
 
 #: How many of the earliest-released tasks form the replay routing prefix.
 _REPLAY_PREFIX_TASKS = 8
+
+#: Request headers of every router→shard ``/replay`` forward.
+_REPLAY_HEADERS = {
+    "Content-Type": "application/json",
+    "Accept": "application/x-ndjson",
+}
 
 
 def replay_routing_key(raw: bytes) -> str:
@@ -232,16 +248,14 @@ class RouterApp(App):
         self.latency = LatencyHistogram()
 
     def routes(self) -> list[Route]:
-        return [
+        return super().routes() + [
             Route("GET", "/healthz", self._handle_healthz),
             Route("GET", "/metrics", self._handle_metrics),
             Route("GET", "/metrics/history", self._handle_history),
-            Route("GET", "/traces", self._handle_traces),
             Route("GET", "/trace/", self._handle_trace, prefix=True),
             Route("POST", "/schedule", self._handle_schedule),
             Route("POST", "/replay", self._handle_replay),
             Route("POST", "/purge", self._handle_purge),
-            Route("POST", "/shutdown", self._handle_shutdown),
         ]
 
     def close(self) -> None:
@@ -289,14 +303,9 @@ class RouterApp(App):
         )
 
     def _handle_metrics(self, request: Request) -> Response:
-        metrics = self.aggregate_metrics()
-        if request.query_param("format") == "prometheus":
-            return Response(
-                200,
-                render_cluster_metrics(metrics).encode(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-        return Response.json(200, metrics)
+        return self.metrics_response(
+            request, self.aggregate_metrics(), render_cluster_metrics
+        )
 
     def _handle_history(self, request: Request) -> Response:
         """Fleet time series: per-shard history docs + exact cluster SLO.
@@ -348,35 +357,21 @@ class RouterApp(App):
             200, {"trace_id": trace_id, "components": components}
         )
 
-    def _handle_traces(self, request: Request) -> Response:
-        """Router-side trace summaries (shard spans stitch in via /trace/<id>)."""
-        store = self.traces
-        slow_ms = self.parse_slow_ms_query(request)
-        return Response.json(
-            200,
-            {
-                "traces": store.summaries(slow_ms=slow_ms),
-                "slow_log": store.slow_log(),
-                "slow_total": store.slow_total,
-                "slow_ms": store.slow_ms,
-            },
-        )
-
     # ------------------------------------------------------------------ #
     # POST routes
     # ------------------------------------------------------------------ #
     def _handle_schedule(self, request: Request) -> Response:
         raw = request.body
-        # Route cache: routing_info is a pure function of the body bytes, and
-        # the whole point of the fingerprint cache is that bodies repeat —
-        # replays skip the JSON parse + fingerprint entirely (a ~100-byte
-        # digest lookup instead), which keeps the router off the critical
-        # path of warm-hit throughput.
         trace: Trace | None = None
         if self.tracing:
             # Adopt a client-supplied id or mint one; either way the same id
             # travels to the owning shard so /trace/<id> stitches both sides.
             trace = self.tracer.start(request.headers.get("X-Repro-Trace-Id"))
+        # Route cache: routing_info is a pure function of the body bytes, and
+        # the whole point of the fingerprint cache is that bodies repeat —
+        # replays skip the JSON parse + fingerprint entirely (a ~100-byte
+        # digest lookup instead), which keeps the router off the critical
+        # path of warm-hit throughput.
         route_start = time.perf_counter()
         digest = blake2b(raw, digest_size=16).digest()
         cached = self.route_cache.get(digest)
@@ -392,27 +387,99 @@ class RouterApp(App):
                 time.perf_counter(),
                 route_cached=cached is not MISS,
             )
-        forward_headers = dict(fast_headers)
+        headers = {
+            "Content-Type": "application/json",
+            "Accept": "application/json",
+            **fast_headers,
+        }
         if trace is not None:
-            forward_headers["X-Repro-Trace-Id"] = trace.trace_id
+            headers["X-Repro-Trace-Id"] = trace.trace_id
+        sent = self._forward(key, "/schedule", raw, headers, trace)
+        if isinstance(sent, Response):
+            return sent
+        _, _, _, upstream, body = sent
+        return self.traced_response(upstream.status, body, trace)
+
+    def _handle_replay(self, request: Request) -> Response:
+        """Route a replay to its ``(trace-prefix, kernel)`` shard and relay
+        the chunked NDJSON stream frame-for-frame.
+
+        Once the shard answered 200 the first frame may already be on the
+        wire, so a mid-stream shard death surfaces to the client as stream
+        truncation — the same error signal the daemon emits, which is
+        exactly what keeps the two frontends behaviourally identical.
+        Non-200 shard responses are read in full and relayed verbatim, so
+        error bytes match the daemon's.  The replay path records no router
+        trace: a trace's spans land when the response is *finished*, and a
+        streamed body outlives the handler — forward latency is recorded
+        as time-to-first-byte instead.
+        """
+        raw = request.body
+        sent = self._forward(
+            replay_routing_key(raw), "/replay", raw, _REPLAY_HEADERS, None,
+            stream=True,
+        )
+        if isinstance(sent, Response):
+            return sent
+        shard_id, url, conn, upstream, body = sent
+        if body is not None:
+            return Response(upstream.status, body)
+        return Response(
+            200,
+            stream=self._relay_stream(shard_id, url, conn, upstream),
+            content_type=upstream.getheader("Content-Type")
+            or "application/x-ndjson",
+        )
+
+    def _forward(
+        self,
+        key: str,
+        path: str,
+        raw: bytes,
+        headers: dict[str, str],
+        trace: Trace | None,
+        *,
+        stream: bool = False,
+    ):
+        """Route ``key`` to its shard and POST ``raw`` there, with retries.
+
+        A failed attempt (connection refused or reset, a response cut
+        short) sleeps ``retry_wait`` and retries on a freshly routed shard,
+        up to ``forward_retries`` times; then, or on an empty ring, the
+        answer is the documented 503.  Infrastructure outcomes, not handler
+        bugs: each attempt records a forward span (``error=True`` when it
+        failed) and the trace lands on every outcome.
+
+        Returns that 503 :class:`Response`, or ``(shard_id, url, conn,
+        upstream, body)``.  ``body`` holds the whole upstream body, with
+        ``conn`` already back in the pool, except for a 200 on a ``stream``
+        request: then ``body`` is ``None`` and the caller relays
+        ``upstream`` off the still-held ``conn``.  Retries therefore only
+        ever happen before a stream starts.
+        """
         start = time.perf_counter()
         attempts = self.forward_retries + 1
         for attempt in range(attempts):
+            if attempt:
+                time.sleep(self.retry_wait)
             try:
                 # Re-resolve the shard URL on every attempt: a crashed shard
                 # comes back on a fresh port once the monitor respawns it.
                 shard_id, url = self.supervisor.route(key)
             except ClusterError as exc:
-                # Infrastructure outcome, not a handler bug: an empty ring
-                # answers the documented 503, span-per-attempt trace kept.
                 self.record_route_error(None)
-                return self._routed_response(503, {"error": str(exc)}, trace)
+                return self.traced_response(503, {"error": str(exc)}, trace)
             forward_start = time.perf_counter()
+            conn = None
             try:
-                status, body = self._forward_once(
-                    shard_id, url, raw, forward_headers
-                )
+                # Connecting to a dead shard's port fails here, in acquire.
+                conn = self.connections.acquire(shard_id, url)
+                conn.request("POST", path, body=raw, headers=headers)
+                upstream = conn.getresponse()
+                body = None if stream and upstream.status == 200 else upstream.read()
             except (OSError, http.client.HTTPException):
+                if conn is not None:
+                    conn.close()
                 if trace is not None:
                     trace.record_span(
                         SPAN_FORWARD,
@@ -423,17 +490,12 @@ class RouterApp(App):
                         error=True,
                     )
                 self.record_route_error(shard_id)
-                if attempt + 1 >= attempts:
-                    return self._routed_response(
-                        503,
-                        {
-                            "error": f"shard {shard_id} unavailable after "
-                            f"{attempts} attempts; retry later"
-                        },
-                        trace,
-                    )
-                time.sleep(self.retry_wait)
                 continue
+            if body is not None:
+                if upstream.will_close:
+                    conn.close()
+                else:
+                    self.connections.release(shard_id, url, conn)
             if trace is not None:
                 trace.record_span(
                     SPAN_FORWARD,
@@ -441,109 +503,18 @@ class RouterApp(App):
                     time.perf_counter(),
                     shard=shard_id,
                     attempt=attempt,
-                    status=status,
+                    status=upstream.status,
                 )
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            self.record_forward(shard_id, elapsed_ms)
-            return self._routed_response(status, body, trace)
-        raise AssertionError("unreachable: every retry path returns")
-
-    def _routed_response(
-        self, status: int, body: bytes | dict, trace: Trace | None
-    ) -> Response:
-        """Land the router trace, then relay ``body`` with the trace header.
-
-        The trace is stored for *every* outcome — a 503 after exhausted
-        retries is exactly the request you want a span-per-attempt record
-        of — and relayed body bytes are never touched, preserving
-        byte-identity with the single-process daemon.
-        """
-        if isinstance(body, dict):
-            body = json.dumps(body).encode()
-        headers: dict[str, str] = {}
-        if trace is not None:
-            trace.finish()
-            self.traces.add(trace)
-            if trace.duration_ms >= self.traces.slow_ms:
-                self.log(
-                    "slow request trace=%s %.1fms",
-                    trace.trace_id,
-                    trace.duration_ms,
-                )
-            headers["X-Repro-Trace-Id"] = trace.trace_id
-        return Response(status, body, headers=headers)
-
-    def _handle_replay(self, request: Request) -> Response:
-        """Route a replay to its ``(trace-prefix, kernel)`` shard and relay
-        the chunked NDJSON stream frame-for-frame.
-
-        Retries (like ``/schedule``'s) happen only *before* the stream
-        starts: once the shard answered 200 the first frame may already be
-        on the wire, so a mid-stream shard death surfaces to the client as
-        stream truncation — the same error signal the daemon emits, which
-        is exactly what keeps the two frontends behaviourally identical.
-        Non-200 shard responses are read in full and relayed verbatim, so
-        error bytes match the daemon's.  The replay path records no router
-        trace: a trace's spans land when the response is *finished*, and a
-        streamed body outlives the handler — forward latency is recorded
-        as time-to-first-byte instead.
-        """
-        raw = request.body
-        key = replay_routing_key(raw)
-        start = time.perf_counter()
-        attempts = self.forward_retries + 1
-        for attempt in range(attempts):
-            try:
-                shard_id, url = self.supervisor.route(key)
-            except ClusterError as exc:
-                self.record_route_error(None)
-                return self._routed_response(503, {"error": str(exc)}, None)
-            conn = self.connections.acquire(shard_id, url)
-            try:
-                conn.request(
-                    "POST",
-                    "/replay",
-                    body=raw,
-                    headers={
-                        "Content-Type": "application/json",
-                        "Accept": "application/x-ndjson",
-                    },
-                )
-                upstream = conn.getresponse()
-            except (OSError, http.client.HTTPException):
-                conn.close()
-                self.record_route_error(shard_id)
-                if attempt + 1 >= attempts:
-                    return self._routed_response(
-                        503,
-                        {
-                            "error": f"shard {shard_id} unavailable after "
-                            f"{attempts} attempts; retry later"
-                        },
-                        None,
-                    )
-                time.sleep(self.retry_wait)
-                continue
-            if upstream.status != 200:
-                # Error document (400 and friends): small, read it whole and
-                # relay the bytes untouched — daemon/router parity.
-                body = upstream.read()
-                if upstream.will_close:
-                    conn.close()
-                else:
-                    self.connections.release(shard_id, url, conn)
-                self.record_forward(
-                    shard_id, (time.perf_counter() - start) * 1e3
-                )
-                return Response(upstream.status, body)
             self.record_forward(shard_id, (time.perf_counter() - start) * 1e3)
-            return Response(
-                200,
-                stream=self._relay_stream(shard_id, url, conn, upstream),
-                content_type=upstream.getheader("Content-Type")
-                or "application/x-ndjson",
-            )
-        raise AssertionError("unreachable: every retry path returns")
+            return shard_id, url, conn, upstream, body
+        return self.traced_response(
+            503,
+            {
+                "error": f"shard {shard_id} unavailable after "
+                f"{attempts} attempts; retry later"
+            },
+            trace,
+        )
 
     def _relay_stream(self, shard_id, url, conn, upstream):
         """Re-emit the shard's NDJSON stream one line (= one chunk) at a time.
@@ -581,33 +552,6 @@ class RouterApp(App):
             else:
                 conn.close()
 
-    def _forward_once(
-        self, shard_id: int, url: str, raw: bytes, fast_headers: dict[str, str]
-    ) -> tuple[int, bytes]:
-        pool = self.connections
-        conn = pool.acquire(shard_id, url)
-        reusable = False
-        try:
-            conn.request(
-                "POST",
-                "/schedule",
-                body=raw,
-                headers={
-                    "Content-Type": "application/json",
-                    "Accept": "application/json",
-                    **fast_headers,
-                },
-            )
-            response = conn.getresponse()
-            body = response.read()
-            reusable = not response.will_close
-            return response.status, body
-        finally:
-            if reusable:
-                pool.release(shard_id, url, conn)
-            else:
-                conn.close()
-
     def _handle_purge(self, request: Request) -> Response:
         payload = self.read_optional_dict_body(request, context="purge")
         results = self.supervisor.purge_all(all=bool(payload.get("all")))
@@ -623,17 +567,6 @@ class RouterApp(App):
                 "shards": {str(sid): r for sid, r in results.items()},
             },
         )
-
-    def _handle_shutdown(self, request: Request) -> Response:
-        if not self.allow_shutdown:
-            return Response.json(403, {"error": "shutdown endpoint disabled"})
-        return Response.json(
-            200, {"status": "shutting down"}, after_send=self._request_stop
-        )
-
-    def _request_stop(self) -> None:
-        if self.transport_shutdown is not None:
-            self.transport_shutdown()
 
     # ------------------------------------------------------------------ #
     # bookkeeping (called from handler threads)
@@ -841,74 +774,16 @@ class RouterApp(App):
         }
 
 
-class ShardRouterServer(ThreadedTransport):
-    """Threaded transport bound to one :class:`RouterApp`.
-
-    Compatibility frontend keeping the pre-split constructor signature;
-    router-level attributes and methods (``supervisor``,
-    ``aggregate_metrics``, ``traces``, ...) read through to the app.
-    """
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        supervisor: ClusterSupervisor,
-        *,
-        verbose: bool = False,
-        **router_kwargs,
-    ) -> None:
-        app = RouterApp(supervisor, verbose=verbose, **router_kwargs)
-        super().__init__(address, app, verbose=verbose)
-
-    def __getattr__(self, name: str):
-        if name == "app":  # not yet bound during base-class __init__
-            raise AttributeError(name)
-        return getattr(self.app, name)
-
-
-class AsyncShardRouterServer(AsyncioTransport):
-    """Asyncio transport bound to one :class:`RouterApp` (same surface)."""
-
-    def __getattr__(self, name: str):
-        if name == "app":
-            raise AttributeError(name)
-        return getattr(self.app, name)
-
-
-def make_router(
-    address: tuple[str, int],
-    supervisor: ClusterSupervisor,
-    *,
-    transport: str = "threaded",
-    verbose: bool = False,
-    **router_kwargs,
-):
-    """Bind a router frontend over ``supervisor`` on the chosen transport.
-
-    Both return types expose the same surface (``url``, ``serve_forever``,
-    ``close``, plus every :class:`RouterApp` attribute by delegation) and
-    serve byte-identical responses.
-    """
-    if transport == "threaded":
-        return ShardRouterServer(
-            address, supervisor, verbose=verbose, **router_kwargs
-        )
-    if transport == "asyncio":
-        app = RouterApp(supervisor, verbose=verbose, **router_kwargs)
-        return AsyncShardRouterServer(address, app, verbose=verbose)
-    from ..http import TRANSPORTS
-
-    raise ValueError(
-        f"unknown transport {transport!r} (choose from {', '.join(TRANSPORTS)})"
-    )
-
-
 @dataclass
 class ClusterHandle:
-    """A running cluster: router server, its serve thread and the fleet."""
+    """A running cluster: router server, its serve thread and the fleet.
+
+    ``server`` is the router's transport; ``server.app`` the
+    :class:`RouterApp`.
+    """
 
     supervisor: ClusterSupervisor
-    server: ShardRouterServer
+    server: Any
     thread: threading.Thread
 
     @property
@@ -954,15 +829,14 @@ def start_cluster(
         shards, spec=spec, backend=backend, vnodes=vnodes, respawn=respawn
     ).start()
     try:
-        server = make_router(
-            (host, port),
+        app = RouterApp(
             supervisor,
-            transport=transport,
             allow_shutdown=allow_shutdown,
             verbose=verbose,
             forward_timeout=forward_timeout,
             slo=slo,
         )
+        server = make_transport(transport, (host, port), app, verbose=verbose)
     except Exception:
         supervisor.close()
         raise

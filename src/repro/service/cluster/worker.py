@@ -1,10 +1,11 @@
 """Shard worker processes: each owns a disjoint slice of the result cache.
 
 A shard is simply a full single-process scheduling daemon — a
-:class:`~repro.service.core.SchedulerService` behind a
-:class:`~repro.service.server.ServiceHTTPServer` — bound to an ephemeral
-loopback port and created with ``trust_fast_headers=True`` so cache hits for
-the keys it owns are served locally, straight from the handler thread.
+:class:`~repro.service.core.SchedulerService` inside a
+:class:`~repro.service.server.DaemonApp`, bound by
+:func:`~repro.service.http.make_transport` to an ephemeral loopback port —
+created with ``trust_fast_headers=True`` so cache hits for the keys it owns
+are served locally, straight from the handler thread.
 Shared-nothing by construction: the router partitions the key space with the
 :class:`~repro.service.cluster.ring.ShardRing`, so no entry ever exists on
 two shards and there is no cross-shard invalidation; eviction is TTL expiry
@@ -33,7 +34,8 @@ from multiprocessing.connection import Connection
 from ...exceptions import ClusterError
 from ...obs.slo import SLO
 from ..core import SchedulerService
-from ..server import ServiceHTTPServer, make_server
+from ..http import make_transport
+from ..server import DaemonApp
 
 __all__ = [
     "ProcessShardHandle",
@@ -88,6 +90,20 @@ class ShardSpec:
         return SchedulerService(**kwargs)
 
 
+def _bind_shard(shard_id: int, spec: ShardSpec):
+    """Build shard ``shard_id``'s daemon app and bind it on a loopback port.
+
+    Returns the unstarted server (``port=0`` picks an ephemeral port).
+    ``allow_shutdown`` stays off: the supervisor stops shards itself, and
+    an open ``/shutdown`` on the shard port would bypass the router's
+    shutdown gate.
+    """
+    app = DaemonApp(
+        spec.build_service(shard_id), trust_fast_headers=True, verbose=spec.verbose
+    )
+    return make_transport(spec.transport, ("127.0.0.1", 0), app, verbose=spec.verbose)
+
+
 def run_shard(shard_id: int, spec: ShardSpec, conn: Connection) -> None:
     """Process entry point of one shard worker.
 
@@ -96,18 +112,7 @@ def run_shard(shard_id: int, spec: ShardSpec, conn: Connection) -> None:
     Module-level so it is picklable under every multiprocessing start
     method.
     """
-    service = spec.build_service(shard_id)
-    # allow_shutdown stays False: the supervisor stops shards itself
-    # (terminate / server.close), and an open /shutdown on the shard port
-    # would bypass the router's shutdown gate.
-    server = make_server(
-        "127.0.0.1",
-        0,
-        service,
-        transport=spec.transport,
-        trust_fast_headers=True,
-        verbose=spec.verbose,
-    )
+    server = _bind_shard(shard_id, spec)
     host, port = server.server_address[:2]
     conn.send((shard_id, host, int(port)))
     conn.close()
@@ -115,7 +120,7 @@ def run_shard(shard_id: int, spec: ShardSpec, conn: Connection) -> None:
         server.serve_forever()
     finally:  # pragma: no cover - usually killed by the supervisor
         server.server_close()
-        service.close()
+        server.app.close()
 
 
 class ShardHandle:
@@ -206,20 +211,12 @@ class ThreadShardHandle(ShardHandle):
     def __init__(self, shard_id: int, spec: ShardSpec) -> None:
         self.shard_id = shard_id
         self.spec = spec
-        self._server: ServiceHTTPServer | None = None
+        self._server = None
         self._thread: threading.Thread | None = None
         self.url = ""
 
     def start(self, ready_timeout: float = 30.0) -> str:
-        service = self.spec.build_service(self.shard_id)
-        self._server = make_server(
-            "127.0.0.1",
-            0,
-            service,
-            transport=self.spec.transport,
-            trust_fast_headers=True,
-            verbose=self.spec.verbose,
-        )
+        self._server = _bind_shard(self.shard_id, self.spec)
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name=f"repro-shard-{self.shard_id}",

@@ -18,7 +18,7 @@ that stack into two layers:
 
   - :class:`~repro.service.http.threaded.ThreadedTransport` — the
     classic ``ThreadingHTTPServer`` (one thread per connection); the
-    default, zero behaviour change from the pre-split stack.
+    default.
   - :class:`~repro.service.http.aio.AsyncioTransport` — a single-threaded
     ``asyncio`` frontend (minimal HTTP/1.1 parser, keep-alive, pipelined
     requests served in order) that dispatches ``App.handle`` calls to a
@@ -26,17 +26,24 @@ that stack into two layers:
     keep-alive connections without a thread each while the scheduler
     compute path and its locks stay untouched.
 
+:func:`make_transport` is the one way to bind an app: every frontend (the
+daemon, each shard worker, the cluster router, ``repro serve``) builds its
+app and calls ``make_transport(kind, address, app)``; the returned server
+exposes the app as ``server.app``.
+
 :mod:`~repro.service.http.pool` holds the client-side twins: the shared
-keep-alive :class:`ConnectionPool` and the capped-jitter
-:class:`RetryPolicy` used by both :class:`~repro.service.client.ServiceClient`
-and the router's forwarding path.
+keep-alive :class:`ConnectionPool` (client and router) and the
+capped-jitter :class:`RetryPolicy` behind
+:class:`~repro.service.client.ServiceClient`'s 503 backoff.
 """
 
 from __future__ import annotations
 
+from .aio import AsyncioTransport
 from .app import MAX_BODY_BYTES, App, Headers, Request, Response, Route
 from .errors import map_exception, oversized_body_response
 from .pool import ConnectionPool, RetryPolicy, open_http_connection
+from .threaded import ThreadedTransport
 
 __all__ = [
     "App",
@@ -64,32 +71,15 @@ TRANSPORTS = ("threaded", "asyncio")
 def make_transport(kind: str, address: tuple[str, int], app: App, *, verbose: bool = False):
     """Bind ``app`` behind the chosen transport; returns the server object.
 
-    Both transports expose the same lifecycle surface: ``server_address``,
-    ``url``, ``serve_forever()``, ``shutdown()``, ``server_close()`` and
-    ``close()``.
+    ``address`` port 0 picks an ephemeral port.  Both transports expose the
+    same lifecycle surface: ``app``, ``server_address``, ``url``,
+    ``serve_forever()``, ``shutdown()``, ``server_close()`` and ``close()``
+    (which also closes the app).
     """
     if kind == "threaded":
-        from .threaded import ThreadedTransport
-
         return ThreadedTransport(address, app, verbose=verbose)
     if kind == "asyncio":
-        from .aio import AsyncioTransport
-
         return AsyncioTransport(address, app, verbose=verbose)
     raise ValueError(
         f"unknown transport {kind!r} (choose from {', '.join(TRANSPORTS)})"
     )
-
-
-def __getattr__(name: str):
-    # Lazy transport classes: importing the package must not drag asyncio
-    # machinery into shard worker processes that only use the default.
-    if name == "ThreadedTransport":
-        from .threaded import ThreadedTransport
-
-        return ThreadedTransport
-    if name == "AsyncioTransport":
-        from .aio import AsyncioTransport
-
-        return AsyncioTransport
-    raise AttributeError(name)

@@ -139,14 +139,21 @@ class Route:
 class App:
     """Transport-agnostic application: ``handle(Request) -> Response``.
 
-    Subclasses implement :meth:`routes` (declarative table) and plain
+    Subclasses extend :meth:`routes` (declarative table) with plain
     handler methods.  ``handle`` owns dispatch, the 404 fallback and the
     single error→status mapping; handlers either return a
-    :class:`Response` or raise, never both map and send.
+    :class:`Response` or raise, never both map and send.  The base serves
+    what every app shares: ``GET /traces``, the gated ``POST /shutdown``
+    and the trace landing of :meth:`traced_response`.
     """
 
     #: Transports reject bodies above this before reading them.
     max_body_bytes = MAX_BODY_BYTES
+    #: ``POST /shutdown`` answers 403 unless a subclass sets this.
+    allow_shutdown = False
+    #: The :class:`~repro.obs.tracing.TraceStore` behind ``GET /traces``
+    #: and :meth:`traced_response`; every subclass provides one.
+    traces: Any
 
     def __init__(self, *, verbose: bool = False) -> None:
         self.verbose = verbose
@@ -165,7 +172,11 @@ class App:
     # subclass surface
     # ------------------------------------------------------------------ #
     def routes(self) -> list[Route]:
-        raise NotImplementedError
+        """The routes every app serves; subclasses extend this list."""
+        return [
+            Route("GET", "/traces", self._handle_traces),
+            Route("POST", "/shutdown", self._handle_shutdown),
+        ]
 
     def close(self) -> None:
         """Release app-owned resources (called by ``transport.close()``)."""
@@ -203,8 +214,75 @@ class App:
             print(message % args if args else message, file=sys.stderr, flush=True)
 
     # ------------------------------------------------------------------ #
+    # shared routes
+    # ------------------------------------------------------------------ #
+    def _handle_traces(self, request: Request) -> Response:
+        """Newest-first trace summaries; ``?slow_ms=N`` filters by duration."""
+        store = self.traces
+        slow_ms = self.parse_slow_ms_query(request)
+        return Response.json(
+            200,
+            {
+                "traces": store.summaries(slow_ms=slow_ms),
+                "slow_log": store.slow_log(),
+                "slow_total": store.slow_total,
+                "slow_ms": store.slow_ms,
+            },
+        )
+
+    def _handle_shutdown(self, request: Request) -> Response:
+        if not self.allow_shutdown:
+            return Response.json(403, {"error": "shutdown endpoint disabled"})
+        # The stop signal fires only after the response bytes are on the
+        # wire (the transport's shutdown hook is itself non-blocking).
+        return Response.json(
+            200, {"status": "shutting down"}, after_send=self._request_stop
+        )
+
+    def _request_stop(self) -> None:
+        if self.transport_shutdown is not None:
+            self.transport_shutdown()
+
+    # ------------------------------------------------------------------ #
     # shared request plumbing
     # ------------------------------------------------------------------ #
+    def traced_response(self, status: int, body: bytes | dict, trace) -> Response:
+        """Land ``trace`` (if any), then answer ``body`` with its id header.
+
+        The trace is finished and stored *before* the bytes hit the wire
+        (the transport writes only after ``handle`` returns), so a client
+        can ``GET /trace/<id>`` the id it reads from the
+        ``X-Repro-Trace-Id`` header immediately.  Stored for every status:
+        a 503 after exhausted retries is exactly the request worth a record
+        of.  The body never carries the id, so it stays byte-identical to
+        the untraced output.
+        """
+        if isinstance(body, dict):
+            body = json.dumps(body).encode()
+        headers: dict[str, str] = {}
+        if trace is not None:
+            trace.finish()
+            self.traces.add(trace)
+            if trace.duration_ms >= self.traces.slow_ms:
+                self.log(
+                    "slow request trace=%s %.1fms", trace.trace_id, trace.duration_ms
+                )
+            headers["X-Repro-Trace-Id"] = trace.trace_id
+        return Response(status, body, headers=headers)
+
+    @staticmethod
+    def metrics_response(
+        request: Request, metrics: dict, render: Callable[[dict], str]
+    ) -> Response:
+        """``/metrics`` as JSON, or rendered by ``render`` (``?format=prometheus``)."""
+        if request.query_param("format") == "prometheus":
+            return Response(
+                200,
+                render(metrics).encode(),
+                content_type="text/plain; version=0.0.4; charset=utf-8",
+            )
+        return Response.json(200, metrics)
+
     @staticmethod
     def read_json_body(request: Request) -> dict:
         """Decode a required JSON request body (400 via ModelError if bad)."""

@@ -1,11 +1,10 @@
-"""Shared keep-alive connection pool and retry policy (client + router).
+"""Keep-alive connections (client + router) and the client's retry policy.
 
-Before this module, :class:`~repro.service.client.ServiceClient` and the
-router's forwarding path each hand-rolled the same two things: eagerly
-connected ``http.client`` connections with Nagle disabled (a reused
-keep-alive connection writes headers and body separately, and Nagle + the
-peer's delayed ACK would stall every exchange by ~40ms otherwise), and a
-capped-backoff retry loop.  Both now live here exactly once.
+:class:`~repro.service.client.ServiceClient` and the router's forwarding
+path both talk over eagerly connected ``http.client`` connections with
+Nagle disabled (a reused keep-alive connection writes headers and body
+separately, and Nagle + the peer's delayed ACK would stall every exchange
+by ~40ms otherwise).
 
 * :func:`open_http_connection` — one eagerly-connected ``HTTPConnection``
   with ``TCP_NODELAY`` set before the first request.
@@ -13,9 +12,9 @@ capped-backoff retry loop.  Both now live here exactly once.
   hashable (the router keys by shard id) and the connection's *current*
   URL: after a shard respawn the URL changes, stale pooled connections
   fail to match and are simply dropped.
-* :class:`RetryPolicy` — capped exponential backoff with optional full
-  jitter; the client's 503-absorbing loop and any fixed-wait forward
-  retry both express themselves through it.
+* :class:`RetryPolicy` — capped, fully-jittered exponential backoff: the
+  client's 503-absorbing loop.  (The router's forward retry is not a
+  backoff: it sleeps a fixed ``retry_wait`` between attempts.)
 """
 
 from __future__ import annotations
@@ -30,6 +29,10 @@ from dataclasses import dataclass
 from typing import Hashable
 
 __all__ = ["ConnectionPool", "RetryPolicy", "open_http_connection"]
+
+#: Idle connections a :class:`ConnectionPool` keeps per key; extras are
+#: closed on release.
+_MAX_IDLE_PER_KEY = 8
 
 
 def open_http_connection(
@@ -65,9 +68,8 @@ class ConnectionPool:
     the pool is safe to share across handler threads.
     """
 
-    def __init__(self, timeout: float, max_idle_per_key: int = 8) -> None:
+    def __init__(self, timeout: float) -> None:
         self.timeout = timeout
-        self.max_idle = max_idle_per_key
         self._idle: dict[Hashable, deque[tuple[str, http.client.HTTPConnection]]] = {}
         self._lock = threading.Lock()
 
@@ -87,7 +89,7 @@ class ConnectionPool:
     ) -> None:
         with self._lock:
             idle = self._idle.setdefault(key, deque())
-            if len(idle) < self.max_idle:
+            if len(idle) < _MAX_IDLE_PER_KEY:
                 idle.append((url, conn))
                 return
         conn.close()
@@ -102,19 +104,17 @@ class ConnectionPool:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff, optionally fully jittered.
+    """Capped exponential backoff with full jitter.
 
-    ``delay(attempt)`` is ``min(cap, backoff * 2**attempt)``; with
-    ``jitter`` the actual sleep is drawn uniformly from ``[0, delay]``
-    (full jitter — lockstep retries would re-thunder the herd they are
-    spreading).  ``retries`` is how many retries follow the first attempt;
-    0 disables retrying.
+    ``delay(attempt)`` is ``min(cap, backoff * 2**attempt)``; the actual
+    sleep is drawn uniformly from ``[0, delay]`` (full jitter — lockstep
+    retries would re-thunder the herd they are spreading).  ``retries`` is
+    how many retries follow the first attempt; 0 disables retrying.
     """
 
     retries: int = 3
     backoff: float = 0.1
     backoff_cap: float = 2.0
-    jitter: bool = True
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -126,11 +126,8 @@ class RetryPolicy:
         return min(self.backoff_cap, self.backoff * (2**attempt))
 
     def sleep(self, attempt: int) -> None:
-        """Block for this attempt's (possibly jittered) backoff delay."""
-        delay = self.delay(attempt)
-        if self.jitter:
-            # Backoff jitter must NOT be seeded/deterministic: clients that
-            # back off in lockstep re-thunder the herd they are spreading.
-            # repro-lint: disable=RL002
-            delay = random.uniform(0.0, delay)
-        time.sleep(delay)
+        """Block for this attempt's jittered backoff delay."""
+        # Backoff jitter must NOT be seeded/deterministic: clients that
+        # back off in lockstep re-thunder the herd they are spreading.
+        # repro-lint: disable=RL002
+        time.sleep(random.uniform(0.0, self.delay(attempt)))

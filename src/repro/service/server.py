@@ -1,13 +1,16 @@
 """HTTP frontend for :class:`~repro.service.core.SchedulerService`.
 
-The daemon is now an app/transport split (:mod:`repro.service.http`):
+The daemon is an app/transport split (:mod:`repro.service.http`):
 :class:`DaemonApp` is a pure ``handle(Request) -> Response`` object holding
-every endpoint, and either transport —
-:class:`~repro.service.http.threaded.ThreadedTransport` (one thread per
-connection, the default) or
-:class:`~repro.service.http.aio.AsyncioTransport` (one event loop, many
-keep-alive connections) — binds it to a socket.  Both serve byte-identical
-responses.  Endpoints:
+every endpoint, and :func:`~repro.service.http.make_transport` binds it to a
+socket behind either transport — ``"threaded"`` (one thread per connection,
+the default) or ``"asyncio"`` (one event loop, many keep-alive
+connections).  Both serve byte-identical responses::
+
+    server = make_transport("threaded", ("127.0.0.1", 0), DaemonApp(service))
+    server.serve_forever()          # server.app.service is the service
+
+Endpoints:
 
 ``POST /schedule``
     Body: ``{"algorithm", "instance" | "generate", "params", "validate"}``
@@ -72,15 +75,10 @@ from ..obs.prometheus import render_service_metrics
 from ..obs.tracing import Trace
 from .cache import MISS
 from .core import SchedulerService, request_from_payload
-from .http import Request, Response, Route
-from .http.aio import AsyncioTransport
-from .http.app import App
-from .http.threaded import ThreadedTransport
+from .http import App, Request, Response, Route, make_transport
 
 __all__ = [
     "DaemonApp",
-    "ServiceHTTPServer",
-    "make_server",
     "start_background_server",
 ]
 
@@ -111,17 +109,19 @@ class DaemonApp(App):
         self.started = time.monotonic()
 
     def routes(self) -> list[Route]:
-        return [
+        return super().routes() + [
             Route("GET", "/healthz", self._handle_healthz),
             Route("GET", "/metrics", self._handle_metrics),
             Route("GET", "/metrics/history", self._handle_history),
-            Route("GET", "/traces", self._handle_traces),
             Route("GET", "/trace/", self._handle_trace, prefix=True),
             Route("POST", "/schedule", self._handle_schedule),
             Route("POST", "/replay", self._handle_replay),
             Route("POST", "/purge", self._handle_purge),
-            Route("POST", "/shutdown", self._handle_shutdown),
         ]
+
+    @property
+    def traces(self):
+        return self.service.traces
 
     def close(self) -> None:
         self.service.close()
@@ -145,14 +145,9 @@ class DaemonApp(App):
         )
 
     def _handle_metrics(self, request: Request) -> Response:
-        metrics = self.service.metrics()
-        if request.query_param("format") == "prometheus":
-            return Response(
-                200,
-                render_service_metrics(metrics).encode(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-        return Response.json(200, metrics)
+        return self.metrics_response(
+            request, self.service.metrics(), render_service_metrics
+        )
 
     def _handle_history(self, request: Request) -> Response:
         """Downsampled metric time series: ``?window=<s>&step=<s>``."""
@@ -171,20 +166,6 @@ class DaemonApp(App):
             return Response.json(404, {"error": f"unknown trace {trace_id!r}"})
         return Response.json(
             200, {"trace_id": trace_id, "components": [trace.as_dict()]}
-        )
-
-    def _handle_traces(self, request: Request) -> Response:
-        """Newest-first trace summaries; ``?slow_ms=N`` filters by duration."""
-        store = self.service.traces
-        slow_ms = self.parse_slow_ms_query(request)
-        return Response.json(
-            200,
-            {
-                "traces": store.summaries(slow_ms=slow_ms),
-                "slow_log": store.slow_log(),
-                "slow_total": store.slow_total,
-                "slow_ms": store.slow_ms,
-            },
         )
 
     # ------------------------------------------------------------------ #
@@ -224,27 +205,13 @@ class DaemonApp(App):
         return self._finish_schedule(response, trace)
 
     def _finish_schedule(self, payload: dict, trace: Trace | None) -> Response:
-        """Serialize (under a span), land the trace, build the response.
-
-        The trace is stored *before* the bytes hit the wire (the transport
-        writes only after ``handle`` returns) so a client can turn around
-        and ``GET /trace/<id>`` the id it reads from the
-        ``X-Repro-Trace-Id`` response header immediately.  The body itself
-        never carries the id — ``/schedule`` responses stay byte-identical
-        to the untraced single-daemon output.
-        """
+        """Serialize (under a span when traced) and land the trace."""
         if trace is None:
             return Response.json(200, payload)
         start = time.perf_counter()
         body = json.dumps(payload).encode()
         trace.record_span(SPAN_SERIALIZE, start, time.perf_counter())
-        trace.finish()
-        self.service.traces.add(trace)
-        if trace.duration_ms >= self.service.traces.slow_ms:
-            self.log(
-                "slow request trace=%s %.1fms", trace.trace_id, trace.duration_ms
-            )
-        return Response(200, body, headers={"X-Repro-Trace-Id": trace.trace_id})
+        return self.traced_response(200, body, trace)
 
     def _handle_schedule(self, request: Request) -> Response:
         service = self.service
@@ -322,109 +289,6 @@ class DaemonApp(App):
             },
         )
 
-    def _handle_shutdown(self, request: Request) -> Response:
-        if not self.allow_shutdown:
-            return Response.json(403, {"error": "shutdown endpoint disabled"})
-        # The stop signal fires only after the response bytes are on the
-        # wire (the transport's shutdown hook is itself non-blocking).
-        return Response.json(
-            200, {"status": "shutting down"}, after_send=self._request_stop
-        )
-
-    def _request_stop(self) -> None:
-        if self.transport_shutdown is not None:
-            self.transport_shutdown()
-
-
-class ServiceHTTPServer(ThreadedTransport):
-    """Threaded transport bound to one :class:`SchedulerService`.
-
-    Compatibility frontend: the constructor keeps the pre-split signature
-    (address + service + keyword policy) and the service-level attributes
-    (``service``, ``allow_shutdown``, ...) read through to the app, so
-    existing callers and tests see no difference.
-    """
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: SchedulerService,
-        *,
-        allow_shutdown: bool = False,
-        request_timeout: float | None = 300.0,
-        verbose: bool = False,
-        trust_fast_headers: bool = False,
-    ) -> None:
-        app = DaemonApp(
-            service,
-            allow_shutdown=allow_shutdown,
-            request_timeout=request_timeout,
-            verbose=verbose,
-            trust_fast_headers=trust_fast_headers,
-        )
-        super().__init__(address, app, verbose=verbose)
-
-    @property
-    def service(self) -> SchedulerService:
-        return self.app.service
-
-    @property
-    def allow_shutdown(self) -> bool:
-        return self.app.allow_shutdown
-
-    @property
-    def request_timeout(self) -> float | None:
-        return self.app.request_timeout
-
-    @property
-    def trust_fast_headers(self) -> bool:
-        return self.app.trust_fast_headers
-
-    @property
-    def started(self) -> float:
-        return self.app.started
-
-
-class AsyncServiceHTTPServer(AsyncioTransport):
-    """Asyncio transport bound to one :class:`SchedulerService`.
-
-    Same lifecycle and attribute surface as :class:`ServiceHTTPServer`, so
-    ``make_server(..., transport="asyncio")`` is a drop-in swap.
-    """
-
-    @property
-    def service(self) -> SchedulerService:
-        return self.app.service
-
-
-def make_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    service: SchedulerService | None = None,
-    *,
-    transport: str = "threaded",
-    **server_kwargs,
-):
-    """Bind a service server (``port=0`` picks an ephemeral port).
-
-    ``transport`` selects the frontend ("threaded" or "asyncio"); both
-    expose the same lifecycle (``url``, ``serve_forever``, ``close``) and
-    serve byte-identical responses.
-    """
-    if transport == "threaded":
-        return ServiceHTTPServer(
-            (host, port), service or SchedulerService(), **server_kwargs
-        )
-    if transport == "asyncio":
-        verbose = server_kwargs.get("verbose", False)
-        app = DaemonApp(service or SchedulerService(), **server_kwargs)
-        return AsyncServiceHTTPServer((host, port), app, verbose=verbose)
-    from .http import TRANSPORTS
-
-    raise ValueError(
-        f"unknown transport {transport!r} (choose from {', '.join(TRANSPORTS)})"
-    )
-
 
 def start_background_server(
     host: str = "127.0.0.1",
@@ -432,14 +296,17 @@ def start_background_server(
     service: SchedulerService | None = None,
     *,
     transport: str = "threaded",
-    **server_kwargs,
+    **app_kwargs,
 ):
-    """Start a server on a daemon thread; returns ``(server, thread)``.
+    """Serve a :class:`DaemonApp` on a daemon thread; returns ``(server, thread)``.
 
-    Used by the self-hosted load-test mode, the CLI tests and the benchmark.
-    Stop it with ``server.close()``.
+    ``port=0`` picks an ephemeral port; ``app_kwargs`` go to
+    :class:`DaemonApp` and ``server.app.service`` is the service.  Used by
+    the self-hosted load-test mode, the CLI tests and the benchmarks.  Stop
+    it with ``server.close()``.
     """
-    server = make_server(host, port, service, transport=transport, **server_kwargs)
+    app = DaemonApp(service, **app_kwargs)
+    server = make_transport(transport, (host, port), app, verbose=app.verbose)
     thread = threading.Thread(
         target=server.serve_forever, name="scheduler-service-http", daemon=True
     )

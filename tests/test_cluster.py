@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ClusterError
 from repro.registry import make_scheduler
 from repro.service import (
+    ReplayStreamError,
     ServiceClient,
     ServiceHTTPError,
     ShardRing,
@@ -294,7 +295,12 @@ class TestThreadBackendRespawn:
 class TestClientRetries:
     @pytest.fixture
     def flaky_server(self):
-        """HTTP stub that 503s the first two /schedule POSTs, then 200s."""
+        """HTTP stub that 503s the first two POSTs, then 200s.
+
+        ``/replay`` answers its 200 as a chunked NDJSON stream (one epoch
+        frame, then the final document); ``/cut/replay`` always streams one
+        epoch frame and closes the connection before the final document.
+        """
         import threading
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -304,12 +310,28 @@ class TestClientRetries:
             def log_message(self, *args):  # noqa: A002
                 pass
 
+            def stream(self, *frames: bytes) -> None:
+                self.send_response(200)
+                self.send_header("Content-Type", "application/x-ndjson")
+                self.send_header("Transfer-Encoding", "chunked")
+                self.end_headers()
+                for frame in frames:
+                    self.wfile.write(b"%x\r\n%s\r\n" % (len(frame), frame))
+
             def do_POST(self):
                 self.rfile.read(int(self.headers.get("Content-Length", 0) or 0))
+                epoch = b'{"epoch": {"index": 0}}\n'
+                if self.path == "/cut/replay":
+                    self.stream(epoch)  # no final document, no zero chunk
+                    return
                 Handler.hits["count"] += 1
                 if Handler.hits["count"] <= 2:
                     body = json.dumps({"error": "overloaded; retry later"}).encode()
                     self.send_response(503)
+                elif self.path == "/replay":
+                    self.stream(epoch, b'{"result": {"makespan": 1.0}}\n')
+                    self.wfile.write(b"0\r\n\r\n")  # the terminating chunk
+                    return
                 else:
                     body = json.dumps({"ok": True}).encode()
                     self.send_response(200)
@@ -344,6 +366,29 @@ class TestClientRetries:
         assert err.value.status == 503
         assert hits["count"] == 1 and client.retries_total == 0
 
+    def test_replay_retries_503s_before_the_first_frame(self, flaky_server):
+        server, hits = flaky_server
+        host, port = server.server_address[:2]
+        client = ServiceClient(
+            f"http://{host}:{port}", retries=3, backoff=0.01, backoff_cap=0.05
+        )
+        epochs = []
+        final = client.replay(generate={"tasks": 3}, on_epoch=epochs.append)
+        assert final == {"result": {"makespan": 1.0}}
+        assert epochs == [{"index": 0}]
+        assert hits["count"] == 3
+        assert client.retries_total == 2
+
+    def test_replay_stream_cut_before_final_document_raises(self, flaky_server):
+        server, hits = flaky_server
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}/cut", retries=3)
+        epochs = []
+        with pytest.raises(ReplayStreamError):
+            client.replay(generate={"tasks": 3}, on_epoch=epochs.append)
+        assert epochs == [{"index": 0}]
+        assert client.retries_total == 0
+
     def test_retry_config_validation(self):
         with pytest.raises(ValueError):
             ServiceClient("http://x", retries=-1)
@@ -357,12 +402,15 @@ class TestClientRetries:
 class TestShardFastPath:
     def test_fast_headers_hit_without_body_parse(self):
         from repro.service import SchedulerService
-        from repro.service.server import ServiceHTTPServer
+        from repro.service.http import make_transport
+        from repro.service.server import DaemonApp
         import threading
 
         service = SchedulerService(workers=2)
-        server = ServiceHTTPServer(
-            ("127.0.0.1", 0), service, trust_fast_headers=True
+        server = make_transport(
+            "threaded",
+            ("127.0.0.1", 0),
+            DaemonApp(service, trust_fast_headers=True),
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -422,6 +470,6 @@ class TestShardFastPath:
             with urllib.request.urlopen(request, timeout=60) as response:
                 replay = json.loads(response.read())
             assert replay["cache_hit"] is True  # normal dispatcher hit
-            assert server.service.metrics()["fast_hits"] == 0
+            assert server.app.service.metrics()["fast_hits"] == 0
         finally:
             server.close()

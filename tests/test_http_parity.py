@@ -34,6 +34,15 @@ SCHEDULE_BODY = json.dumps(
     }
 ).encode()
 
+#: A valid two-task instance payload (the ``Instance.as_dict`` shape).
+TINY_INSTANCE = {
+    "num_procs": 2,
+    "tasks": [
+        {"name": "T0", "times": [6.0, 3.5]},
+        {"name": "T1", "times": [3.0, 2.0]},
+    ],
+}
+
 #: (name, method, target, body) — every deterministic shared path: the
 #: error surface of both apps plus the disabled-shutdown 403.
 ERROR_REQUESTS = [
@@ -44,6 +53,14 @@ ERROR_REQUESTS = [
     ("empty-schedule", "POST", "/schedule", b""),
     ("malformed-schedule", "POST", "/schedule", b'{"nonsense": true}'),
     ("schedule-not-json", "POST", "/schedule", b"not json at all"),
+    # Algorithm names no HTTP header can carry verbatim: the router must
+    # route them by content and leave the 400 to the shard's parser.
+    ("schedule-non-latin1-algorithm", "POST", "/schedule", json.dumps(
+        {"algorithm": "模型", "instance": TINY_INSTANCE}
+    ).encode()),
+    ("schedule-crlf-algorithm", "POST", "/schedule", json.dumps(
+        {"algorithm": "mrt\r\nX-Injected: 1", "instance": TINY_INSTANCE}
+    ).encode()),
     ("malformed-replay", "POST", "/replay", b'{"nonsense": true}'),
     ("replay-not-json", "POST", "/replay", b"not json at all"),
     ("replay-bad-kernel", "POST", "/replay", json.dumps(
@@ -196,6 +213,36 @@ class TestDaemonRouterParity:
             document.pop("elapsed_ms")
             results[which] = (status, document)
         assert results["daemon"] == results["router"]
+
+    def test_instance_and_generate_rejected_after_instance_is_cached(
+        self, daemon_and_router
+    ):
+        # Once the instance is a cache hit, the router's precomputed cache
+        # key must not turn a body the daemon rejects into a fast 200.
+        server, cluster = daemon_and_router
+        prime = json.dumps({"algorithm": "mrt", "instance": TINY_INSTANCE}).encode()
+        both = json.dumps(
+            {
+                "algorithm": "mrt",
+                "instance": TINY_INSTANCE,
+                "generate": {"family": "uniform", "tasks": 2, "procs": 2},
+            }
+        ).encode()
+        results = {}
+        for which, address in (
+            ("daemon", server.server_address[:2]),
+            ("router", cluster.server.server_address[:2]),
+        ):
+            for _ in range(2):  # cold, then a warm hit
+                status, _, payload = exchange(address, "POST", "/schedule", prime)
+                assert status == 200, payload
+            assert json.loads(payload)["cache_hit"] is True
+            status, headers, payload = exchange(address, "POST", "/schedule", both)
+            audit_structure(f"{which}:both", status, headers, payload)
+            results[which] = (status, comparable(headers), payload)
+        assert results["daemon"] == results["router"]
+        assert results["router"][0] == 400
+        assert b"exactly one of 'instance' or 'generate'" in results["router"][2]
 
 
 # ---------------------------------------------------------------------- #

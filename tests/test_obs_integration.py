@@ -10,14 +10,16 @@ parse with exact fleet-wide histogram merges.
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
 
 from repro.service.client import ServiceClient, ServiceHTTPError
-from repro.service.cluster.router import ShardRouterServer, start_cluster
+from repro.service.cluster.router import RouterApp, start_cluster
 from repro.service.cluster.supervisor import ClusterSupervisor
 from repro.service.cluster.worker import ShardSpec
+from repro.service.http import make_transport
 from repro.workloads import uniform_instance
 
 from test_obs import parse_prometheus
@@ -196,11 +198,10 @@ class TestRetryPathTracing:
             backend="thread",
             respawn=False,
         ).start()
-        server = ShardRouterServer(
+        server = make_transport(
+            "threaded",
             ("127.0.0.1", 0),
-            supervisor,
-            forward_retries=1,
-            retry_wait=0.01,
+            RouterApp(supervisor, forward_retries=1, retry_wait=0.01),
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -228,6 +229,43 @@ class TestRetryPathTracing:
             assert [s["meta"]["attempt"] for s in forwards] == [0, 1]
             assert all(s["meta"]["error"] for s in forwards)
             assert client.metrics()["router"]["routing_errors"] >= 2
+        finally:
+            server.close()
+            supervisor.close()
+
+    def test_replay_503_after_dead_shards_matches_schedule(self):
+        supervisor = ClusterSupervisor(
+            2,
+            spec=ShardSpec(workers=1),
+            backend="thread",
+            respawn=False,
+        ).start()
+        server = make_transport(
+            "threaded",
+            ("127.0.0.1", 0),
+            RouterApp(supervisor, forward_retries=1, retry_wait=0.01),
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for handle in supervisor._handles.values():
+                handle.stop()
+            client = ServiceClient(server.url, retries=0)
+            errors_before = client.metrics()["router"]["routing_errors"]
+            with pytest.raises(ServiceHTTPError) as replay_err:
+                client.replay(
+                    generate={"pattern": "poisson", "tasks": 4, "procs": 2}
+                )
+            # One routing error per attempt: the first try plus one retry.
+            assert client.metrics()["router"]["routing_errors"] == errors_before + 2
+            with pytest.raises(ServiceHTTPError) as schedule_err:
+                client.schedule(uniform_instance(num_tasks=6, num_procs=4, seed=49))
+            assert replay_err.value.status == schedule_err.value.status == 503
+            bodies = [
+                re.sub(r"^shard \d+ ", "shard N ", err.value.payload["error"])
+                for err in (replay_err, schedule_err)
+            ]
+            assert bodies == ["shard N unavailable after 2 attempts; retry later"] * 2
         finally:
             server.close()
             supervisor.close()

@@ -47,11 +47,12 @@ from repro.obs.histogram import BOUNDS_MS
 from repro.obs.names import SPAN_PARSE
 from repro.obs.slo import P99_BUDGET
 from repro.obs.timeseries import gauge_stats, histogram_delta
-from repro.service.cluster.router import ShardRouterServer
+from repro.service.cluster.router import RouterApp
 from repro.service.cluster.supervisor import ClusterSupervisor
 from repro.service.cluster.worker import ShardSpec
 from repro.service.client import ServiceClient
 from repro.service.core import SchedulerService
+from repro.service.http import make_transport
 
 
 class FakeClock:
@@ -600,8 +601,8 @@ def cluster():
         # serving the monitor-cached document (the monitor is off here).
         health_interval=0.0,
     ).start()
-    server = ShardRouterServer(
-        ("127.0.0.1", 0), supervisor, slo=SLO(p99_ms=100.0)
+    server = make_transport(
+        "threaded", ("127.0.0.1", 0), RouterApp(supervisor, slo=SLO(p99_ms=100.0))
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -612,7 +613,7 @@ def cluster():
 
 def shard_services(supervisor) -> list:
     return [
-        handle._server.service
+        handle._server.app.service
         for _, handle in sorted(supervisor._handles.items())
     ]
 
