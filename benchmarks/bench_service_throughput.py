@@ -13,11 +13,8 @@ drives it with the cold/warm load generator:
 3. **Byte-identity check** — every service ``result`` payload (schedule +
    makespan) must be byte-identical, under canonical JSON, to a direct
    ``Scheduler.schedule()`` call on the same instance in this process.
-4. **Transport soak** — both HTTP transports (threaded and asyncio) serve
-   the warm pool to hundreds of concurrent keep-alive connections; neither
-   may drop a connection, and the asyncio frontend must beat the threaded
-   one by ≥ 1.5× where the machine has the cores to show it (single-core
-   runners report the ratio informationally, like the cluster bench).
+4. **Transport soak** — the HTTP transport serves the warm pool to
+   hundreds of concurrent keep-alive connections and may not drop one.
 
 Emits a ``BENCH {...}`` JSON line for CI artifact collection and exits
 non-zero when the speedup bar or the identity check fails.
@@ -139,37 +136,31 @@ def measure_obs_overhead(payloads: list[dict], *, repeats: int) -> float:
 
 def measure_high_concurrency(
     payloads: list[dict], *, connections: int, requests_per_connection: int
-) -> dict[str, dict]:
-    """Warm-hit soak of both transports at high connection fan-in.
+) -> dict:
+    """Warm-hit soak of the HTTP transport at high connection fan-in.
 
-    Boots one daemon per transport, primes its fingerprint cache with the
-    full pool, then holds ``connections`` concurrent keep-alive connections
-    against it (:func:`run_soak`).  Per-request work is identical cache
-    hits, so the throughput difference is purely how each transport handles
-    hundreds of simultaneous sockets: a thread per connection versus one
-    event loop feeding a worker pool.
+    Boots a daemon, primes its fingerprint cache with the full pool, then
+    holds ``connections`` concurrent keep-alive connections against it
+    (:func:`run_soak`).  Per-request work is identical cache hits, so the
+    soak measures how the transport handles hundreds of simultaneous
+    sockets.
     """
     from repro.service import ServiceClient
 
     encoded = [json.dumps(p).encode() for p in payloads]
-    results: dict[str, dict] = {}
-    for transport in ("threaded", "asyncio"):
-        server, _ = start_background_server(transport=transport)
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
-        try:
-            client = ServiceClient(url)
-            for payload in payloads:
-                client.schedule_payload(payload)
-            results[transport] = run_soak(
-                url,
-                encoded,
-                connections=connections,
-                requests_per_connection=requests_per_connection,
-            )
-        finally:
-            server.close()
-    return results
+    server, _ = start_background_server()
+    try:
+        client = ServiceClient(server.url)
+        for payload in payloads:
+            client.schedule_payload(payload)
+        return run_soak(
+            server.url,
+            encoded,
+            connections=connections,
+            requests_per_connection=requests_per_connection,
+        )
+    finally:
+        server.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,24 +184,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=256,
         help="concurrent keep-alive connections in the transport soak",
-    )
-    parser.add_argument(
-        "--min-transport-ratio",
-        type=float,
-        default=1.5,
-        help="acceptance bar for asyncio/threaded warm-hit throughput at "
-        "high connection fan-in (default 1.5x)",
-    )
-    enforce = parser.add_mutually_exclusive_group()
-    enforce.add_argument(
-        "--enforce-transport-ratio",
-        action="store_true",
-        help="enforce the transport-ratio bar even on few cores",
-    )
-    enforce.add_argument(
-        "--no-enforce-transport-ratio",
-        action="store_true",
-        help="report the transport ratio without gating on it",
     )
     args = parser.parse_args(argv)
 
@@ -252,33 +225,10 @@ def main(argv: list[str] | None = None) -> int:
         payloads, repeats=30 if args.quick else 60
     )
 
-    # Transport soak: the asyncio frontend exists for connection fan-in,
-    # so gate its advantage there — but only where the machine can show
-    # it.  On very few cores the threaded transport's per-connection
-    # threads and the asyncio worker pool contend for the same core and
-    # the ratio is scheduler noise, so (like the cluster-scaling bench)
-    # the bar is reported informationally instead of enforced.
-    cpu_count = os.cpu_count() or 1
-    if args.no_enforce_transport_ratio:
-        enforce_ratio, ratio_reason = False, "disabled by --no-enforce-transport-ratio"
-    elif args.enforce_transport_ratio:
-        enforce_ratio, ratio_reason = True, "forced by --enforce-transport-ratio"
-    elif cpu_count >= 2:
-        enforce_ratio, ratio_reason = True, f"{cpu_count} cores available"
-    else:
-        enforce_ratio, ratio_reason = False, (
-            "single core — transports serialise on the same CPU and the "
-            "ratio is scheduler noise, reporting informationally"
-        )
-    soaks = measure_high_concurrency(
+    soak = measure_high_concurrency(
         payloads,
         connections=args.soak_connections,
         requests_per_connection=8 if args.quick else 20,
-    )
-    threaded_rps = soaks["threaded"]["ok_rps"]
-    asyncio_rps = soaks["asyncio"]["ok_rps"]
-    transport_ratio = (
-        asyncio_rps / threaded_rps if threaded_rps > 0 else float("inf")
     )
 
     cold, warm = report["cold"], report["warm"]
@@ -294,14 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"byte-identical to direct calls : {mismatches == 0}")
     print(f"tracing+histogram warm-path cost: {obs_overhead:+.1%}  "
           f"(bar: {args.max_obs_overhead:.0%})")
-    for transport in ("threaded", "asyncio"):
-        soak = soaks[transport]
-        print(f"soak {transport:<8}: {soak['ok']:5d} ok of {soak['requests']} over "
-              f"{soak['connections']} connections  {soak['ok_rps']:8.1f} req/s  "
-              f"rejected={soak['rejected']}  errors={soak['errors']}")
-    print(f"asyncio/threaded soak throughput: {transport_ratio:.2f}x  "
-          f"(bar {args.min_transport_ratio:.1f}x, "
-          f"{'enforced' if enforce_ratio else 'waived'}: {ratio_reason})")
+    print(f"soak : {soak['ok']:5d} ok of {soak['requests']} over "
+          f"{soak['connections']} connections  {soak['ok_rps']:8.1f} req/s  "
+          f"rejected={soak['rejected']}  errors={soak['errors']}")
     bench = {
         "benchmark": "service_throughput",
         "quick": args.quick,
@@ -310,12 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         "min_speedup": args.min_speedup,
         "obs_overhead_ratio": obs_overhead,
         "max_obs_overhead": args.max_obs_overhead,
-        "cpu_count": cpu_count,
-        "soak": soaks,
-        "transport_ratio": transport_ratio,
-        "min_transport_ratio": args.min_transport_ratio,
-        "transport_ratio_enforced": enforce_ratio,
-        "transport_ratio_reason": ratio_reason,
+        "cpu_count": os.cpu_count() or 1,
+        "soak": soak,
     }
     print("BENCH " + json.dumps(bench, sort_keys=True))
 
@@ -336,16 +277,10 @@ def main(argv: list[str] | None = None) -> int:
             f"tracing+histogram warm-path overhead {obs_overhead:.1%} above "
             f"the {args.max_obs_overhead:.0%} bar"
         )
-    for transport in ("threaded", "asyncio"):
-        if soaks[transport]["errors"]:
-            failures.append(
-                f"{transport} soak had {soaks[transport]['errors']} "
-                f"transport-level error(s) at {args.soak_connections} connections"
-            )
-    if enforce_ratio and transport_ratio < args.min_transport_ratio:
+    if soak["errors"]:
         failures.append(
-            f"asyncio/threaded soak throughput {transport_ratio:.2f}x below "
-            f"the {args.min_transport_ratio:.1f}x bar"
+            f"soak had {soak['errors']} transport-level error(s) at "
+            f"{args.soak_connections} connections"
         )
     if failures:
         for failure in failures:

@@ -177,20 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard worker kind (process falls back to threads in sandboxes)",
     )
     srv.add_argument(
-        "--transport",
-        default="threaded",
-        choices=["threaded", "asyncio"],
-        help="HTTP frontend of the daemon (or of the router with --shards): "
-        "thread-per-connection or a single asyncio event loop; responses "
-        "are byte-identical either way",
-    )
-    srv.add_argument(
-        "--shard-transport",
-        default="threaded",
-        choices=["threaded", "asyncio"],
-        help="HTTP frontend of each shard worker (only with --shards > 1)",
-    )
-    srv.add_argument(
         "--vnodes",
         type=int,
         default=64,
@@ -270,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="self-host a sharded cluster with N shards instead of a "
         "single-process daemon (only without --url)",
-    )
-    lt.add_argument(
-        "--transport",
-        default="threaded",
-        choices=["threaded", "asyncio"],
-        help="HTTP transport of the self-hosted server (only without --url)",
     )
     lt.add_argument(
         "--retries",
@@ -506,7 +486,6 @@ def _shard_spec_from_args(args: argparse.Namespace):
         verbose=args.verbose,
         sample_interval=args.sample_interval or None,
         slo_p99_ms=args.slo_p99_ms,
-        transport=getattr(args, "shard_transport", "threaded"),
     )
 
 
@@ -520,7 +499,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     from .obs.slo import SLO
-    from .service import ClusterSupervisor, DaemonApp, RouterApp, make_transport
+    from .service import ClusterSupervisor, DaemonApp, RouterApp, ThreadedTransport
 
     spec = _shard_spec_from_args(args)
     ttl = f", ttl={args.cache_ttl:g}s" if args.cache_ttl else ""
@@ -532,7 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         name = "scheduling service"
         details = (
-            f"transport={args.transport}, "
             f"workers={service.workers}, pool={service.pool_kind}, "
             f"cache={service.cache.capacity}{ttl}"
         )
@@ -549,13 +527,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         name = "sharded scheduling cluster"
         details = (
             f"shards={supervisor.num_shards}, backend={supervisor.backend}, "
-            f"transport={args.transport}, vnodes={supervisor.ring.vnodes}, "
+            f"vnodes={supervisor.ring.vnodes}, "
             f"cache={args.cache_capacity}x{supervisor.num_shards}{ttl}"
         )
     try:
-        server = make_transport(
-            args.transport, (args.host, args.port), app, verbose=args.verbose
-        )
+        server = ThreadedTransport((args.host, args.port), app, verbose=args.verbose)
     except Exception:
         app.close()
         if supervisor is not None:
@@ -587,22 +563,16 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     base_url = args.url
     if base_url is None:
         if args.shards > 1:
-            cluster = start_cluster(
-                args.shards, allow_shutdown=True, transport=args.transport
-            )
+            cluster = start_cluster(args.shards, allow_shutdown=True)
             base_url = cluster.url
             print(
                 f"self-hosted {args.shards}-shard cluster on {base_url} "
-                f"(backend={cluster.supervisor.backend}, "
-                f"transport={args.transport})"
+                f"(backend={cluster.supervisor.backend})"
             )
         else:
-            server, _ = start_background_server(
-                allow_shutdown=True, transport=args.transport
-            )
-            host, port = server.server_address[:2]
-            base_url = f"http://{host}:{port}"
-            print(f"self-hosted service on {base_url} (transport={args.transport})")
+            server, _ = start_background_server(allow_shutdown=True)
+            base_url = server.url
+            print(f"self-hosted service on {base_url}")
     try:
         report = run_loadtest(
             base_url,

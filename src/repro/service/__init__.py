@@ -7,10 +7,9 @@ Turns the package's one-shot schedulers into a long-lived serving stack:
   with the experiment harness) and an LRU+TTL result cache keyed by
   :meth:`Instance.fingerprint() <repro.model.instance.Instance.fingerprint>`;
 * :mod:`~repro.service.http` — the transport/app split: a shared
-  WSGI-style core (``Request``/``Response``/``App``) plus two interchangeable
-  frontends — threaded ``http.server`` (default) and a single-event-loop
-  ``asyncio`` transport — serving byte-identical responses;
-  ``make_transport(kind, address, app)`` is the one way to bind an app;
+  WSGI-style core (``Request``/``Response``/``App``) and its one frontend,
+  the threaded ``http.server`` transport; ``ThreadedTransport(address,
+  app)`` binds an app;
 * :mod:`~repro.service.server` — :class:`DaemonApp`, the daemon/shard
   application (``POST /schedule``, ``GET /healthz``, ``GET /metrics``) over
   that layer, and :func:`start_background_server`;
@@ -33,7 +32,7 @@ from .core import (
     request_from_payload,
 )
 from .loadtest import build_workload_payloads, run_loadtest
-from .http import TRANSPORTS, make_transport
+from .http import ThreadedTransport
 from .server import DaemonApp, start_background_server
 from .cluster import (
     ClusterHandle,
@@ -53,17 +52,16 @@ __all__ = [
     "MISS",
     "ReplayStreamError",
     "RouterApp",
-    "TRANSPORTS",
     "ScheduleRequest",
     "SchedulerService",
     "ServiceClient",
     "ServiceHTTPError",
     "ShardRing",
     "ShardSpec",
+    "ThreadedTransport",
     "build_workload_payloads",
     "canonical_json",
     "compute_response",
-    "make_transport",
     "payload_fingerprint",
     "request_from_payload",
     "run_loadtest",

@@ -14,7 +14,7 @@ set.  This package scales the cache *horizontally* instead:
 * :mod:`~repro.service.cluster.router` — :class:`RouterApp`, the HTTP
   frontend app that fingerprints raw payloads and relays them verbatim to
   the owning shard (responses stay byte-identical to the daemon's); bind it
-  with ``make_transport(kind, address, RouterApp(supervisor))``.
+  with ``ThreadedTransport(address, RouterApp(supervisor))``.
 
 Shared-nothing eviction protocol: no cross-shard invalidation exists or is
 needed (keys are partitioned), entries age out via TTL + the periodic

@@ -26,10 +26,8 @@ shard-side code path as the daemon's.
 
 Like the daemon (:mod:`repro.service.server`), the router is an
 app/transport split: :class:`RouterApp` holds every route and all routing
-state, and :func:`~repro.service.http.make_transport` binds it to a socket
-— ``make_transport("asyncio", address, RouterApp(supervisor))`` (or
-``start_cluster(..., transport="asyncio")``) serves the same
-byte-identical responses from one event loop.
+state, and :class:`~repro.service.http.ThreadedTransport` binds it to a
+socket: ``ThreadedTransport(address, RouterApp(supervisor))``.
 
 ``POST /replay`` routes by ``(trace-prefix, kernel)`` — the fingerprint of
 the trace's earliest-released tasks plus the kernel name (see
@@ -54,7 +52,6 @@ import threading
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Any
 
 from ...exceptions import ClusterError
 from ...lint.registry import build_info as lint_build_info
@@ -67,7 +64,7 @@ from ...obs.timeseries import WindowDelta
 from ...obs.tracing import Trace, TraceStore, Tracer
 from ..cache import MISS, LRUTTLCache
 from ..core import canonical_json, payload_fingerprint
-from ..http import App, ConnectionPool, Request, Response, Route, make_transport
+from ..http import App, ConnectionPool, Request, Response, Route, ThreadedTransport
 from .supervisor import ClusterSupervisor
 from .worker import ShardSpec
 
@@ -202,7 +199,7 @@ class RouterApp(App):
     """The router application: content routing + fleet aggregation.
 
     Pure request→response logic over one :class:`ClusterSupervisor`;
-    sockets live in whichever transport binds it.  Forward failures are
+    sockets live in the transport that binds it.  Forward failures are
     infrastructure outcomes, not handler exceptions — they answer 503 here
     (the shard-unavailable contract), while malformed *client* input is
     still rejected by the owning shard's own pipeline so the bytes match
@@ -783,7 +780,7 @@ class ClusterHandle:
     """
 
     supervisor: ClusterSupervisor
-    server: Any
+    server: ThreadedTransport
     thread: threading.Thread
 
     @property
@@ -814,16 +811,13 @@ def start_cluster(
     verbose: bool = False,
     forward_timeout: float = 300.0,
     slo: SLO | None = None,
-    transport: str = "threaded",
 ) -> ClusterHandle:
     """Boot a sharded cluster and serve its router on a background thread.
 
     The cluster equivalent of
     :func:`~repro.service.server.start_background_server`; used by the
     self-hosted ``loadtest --shards``, the cluster benchmark and the tests.
-    ``transport`` selects the *router* frontend; each shard picks its own
-    via :attr:`ShardSpec.transport`.  Stop it with
-    :meth:`ClusterHandle.close`.
+    Stop it with :meth:`ClusterHandle.close`.
     """
     supervisor = ClusterSupervisor(
         shards, spec=spec, backend=backend, vnodes=vnodes, respawn=respawn
@@ -836,7 +830,7 @@ def start_cluster(
             forward_timeout=forward_timeout,
             slo=slo,
         )
-        server = make_transport(transport, (host, port), app, verbose=verbose)
+        server = ThreadedTransport((host, port), app, verbose=verbose)
     except Exception:
         supervisor.close()
         raise

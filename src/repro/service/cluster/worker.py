@@ -3,7 +3,7 @@
 A shard is simply a full single-process scheduling daemon — a
 :class:`~repro.service.core.SchedulerService` inside a
 :class:`~repro.service.server.DaemonApp`, bound by
-:func:`~repro.service.http.make_transport` to an ephemeral loopback port —
+:class:`~repro.service.http.ThreadedTransport` to an ephemeral loopback port —
 created with ``trust_fast_headers=True`` so cache hits for the keys it owns
 are served locally, straight from the handler thread.
 Shared-nothing by construction: the router partitions the key space with the
@@ -34,7 +34,7 @@ from multiprocessing.connection import Connection
 from ...exceptions import ClusterError
 from ...obs.slo import SLO
 from ..core import SchedulerService
-from ..http import make_transport
+from ..http import ThreadedTransport
 from ..server import DaemonApp
 
 __all__ = [
@@ -72,14 +72,10 @@ class ShardSpec:
     sample_interval: float | None = 1.0
     history_capacity: int = 720
     slo_p99_ms: float = 500.0
-    #: HTTP frontend of each shard ("threaded" or "asyncio") — a transport
-    #: concern, not a service knob, hence popped in :meth:`build_service`.
-    transport: str = "threaded"
 
     def build_service(self, shard_id: int | None = None) -> SchedulerService:
         kwargs = asdict(self)
         kwargs.pop("verbose")
-        kwargs.pop("transport")
         # The SLO rides the spec as its scalar knob (an SLO dataclass would
         # pickle fine, but one number keeps the CLI surface flat).
         kwargs["slo"] = SLO(p99_ms=kwargs.pop("slo_p99_ms"))
@@ -101,7 +97,7 @@ def _bind_shard(shard_id: int, spec: ShardSpec):
     app = DaemonApp(
         spec.build_service(shard_id), trust_fast_headers=True, verbose=spec.verbose
     )
-    return make_transport(spec.transport, ("127.0.0.1", 0), app, verbose=spec.verbose)
+    return ThreadedTransport(("127.0.0.1", 0), app, verbose=spec.verbose)
 
 
 def run_shard(shard_id: int, spec: ShardSpec, conn: Connection) -> None:

@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 from urllib.parse import parse_qs
 
 __all__ = [
     "App",
-    "Headers",
     "MAX_BODY_BYTES",
     "Request",
     "Response",
@@ -28,35 +27,8 @@ __all__ = [
 
 #: Refuse request bodies larger than this (64 MiB) — a crude but effective
 #: guard against memory exhaustion from a single client.  Enforced by the
-#: transports *before* reading the body.
+#: transport *before* reading the body.
 MAX_BODY_BYTES = 64 * 1024 * 1024
-
-
-class Headers:
-    """Case-insensitive read-only header mapping (asyncio transport side).
-
-    The threaded transport hands apps the stdlib ``email.message.Message``
-    (already case-insensitive); this is the equivalent for headers parsed
-    by hand, so ``request.headers.get("X-Repro-Fingerprint")`` behaves the
-    same under every transport.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Mapping[str, str] | None = None) -> None:
-        self._items: dict[str, str] = {}
-        if items:
-            for name, value in items.items():
-                self._items[name.lower()] = value
-
-    def get(self, name: str, default: str | None = None) -> str | None:
-        return self._items.get(name.lower(), default)
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 @dataclass(frozen=True)
@@ -99,7 +71,7 @@ class Response:
     ``tests/test_http_parity.py``.  A clean end of iteration writes the
     terminating zero-length chunk; an iterator that *raises* mid-stream
     aborts the connection **without** the terminator, so truncation is the
-    client's one error signal on every transport.  ``after_send`` runs only
+    client's one error signal.  ``after_send`` runs only
     after a complete stream.
     """
 

@@ -1,11 +1,18 @@
-"""Threaded transport: one handler thread per connection (the default).
+"""Threaded transport: one handler thread per connection.
 
 A thin adapter from ``http.server.ThreadingHTTPServer`` to the
 :class:`~repro.service.http.app.App` contract: the handler reads the body,
 builds a :class:`Request`, calls ``app.handle`` and writes the
 :class:`Response`.  All routing, header policy and error mapping live in
-the app — this module owns only sockets and threads, which is what makes
-the asyncio transport a drop-in sibling.
+the app — this module owns only sockets, threads and request framing.
+
+Framing scope: request line + headers + ``Content-Length`` bodies.  A
+chunked request body, a non-integer or negative ``Content-Length`` and an
+oversized body are refused with a JSON 400 before any body byte is read,
+and so are the stdlib parser's own rejections (malformed request line,
+header flood, over-long line), which keep stdlib's status codes.  Every
+framing error closes the connection: the unread bytes would desynchronise
+the keep-alive stream.
 """
 
 from __future__ import annotations
@@ -18,6 +25,11 @@ from .app import App, Request, Response
 from .errors import oversized_body_response
 
 __all__ = ["ThreadedTransport"]
+
+
+def _bad_request(message: str) -> Response:
+    """A framing-level 400; always closes (the stream may be desynced)."""
+    return Response.json(400, {"error": message}, close=True)
 
 
 class _AppHandler(BaseHTTPRequestHandler):
@@ -34,9 +46,35 @@ class _AppHandler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer stdlib-level parse errors in the app's JSON error shape.
+
+        ``BaseHTTPRequestHandler`` calls this for a malformed request line,
+        a header flood or an over-long line, keeping its status code but
+        writing an HTML page — with no status line at all when the request
+        line never parsed (it then assumes HTTP/0.9).
+        """
+        error = message or self.responses.get(code, ("Error",))[0]
+        if explain:
+            error = f"{error}: {explain}"
+        self.log_error("code %d, message %s", code, error)
+        # Whatever version the client claimed (if any), the error goes out
+        # as a full HTTP/1.1 response with a status line and headers.
+        self.request_version = self.protocol_version
+        self._write(Response.json(code, {"error": error}, close=True))
+
     def _dispatch(self) -> None:
         app = self.server.app
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        if "chunked" in (self.headers.get("Transfer-Encoding") or "").lower():
+            self._write(_bad_request("chunked transfer encoding is not supported"))
+            return
+        declared = self.headers.get("Content-Length") or "0"
+        if not declared.strip().isdecimal():  # also refuses a negative length
+            self._write(_bad_request(f"bad Content-Length {declared!r}"))
+            return
+        length = int(declared)
         if length > app.max_body_bytes:
             # Rejected without draining: the unread body would desync the
             # keep-alive stream, so the response says close and we do.
@@ -128,9 +166,7 @@ class ThreadedTransport(ThreadingHTTPServer):
     daemon_threads = True
     # socketserver's default accept backlog is 5: a high-concurrency client
     # (the loadtest soak opens hundreds of connections at once) gets
-    # connection resets before a single byte of HTTP is spoken.  Match the
-    # asyncio transport's backlog so the two differ in concurrency model,
-    # not accept capacity.
+    # connection resets before a single byte of HTTP is spoken.
     request_queue_size = 128
 
     def __init__(

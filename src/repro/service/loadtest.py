@@ -245,11 +245,10 @@ def run_soak(
     tops out around a few dozen connections before client-side thread churn
     dominates.  This phase instead holds ``connections`` concurrent
     keep-alive connections on a single asyncio event loop (one coroutine
-    each — the client-side mirror of the server's asyncio transport) and
-    fires ``requests_per_connection`` sequential ``POST /schedule`` requests
-    down every one of them.  That measures the server's connection-scaling
-    behaviour, which is exactly where the threaded and asyncio transports
-    differ.
+    each) and fires ``requests_per_connection`` sequential
+    ``POST /schedule`` requests down every one of them.  That measures the
+    server's connection-scaling behaviour: its accept backlog and one
+    handler thread per connection.
 
     Payloads are the pre-encoded warm pool, so a warmed server answers from
     cache and the measurement is connection handling, not scheduling.

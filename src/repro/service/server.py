@@ -2,12 +2,10 @@
 
 The daemon is an app/transport split (:mod:`repro.service.http`):
 :class:`DaemonApp` is a pure ``handle(Request) -> Response`` object holding
-every endpoint, and :func:`~repro.service.http.make_transport` binds it to a
-socket behind either transport — ``"threaded"`` (one thread per connection,
-the default) or ``"asyncio"`` (one event loop, many keep-alive
-connections).  Both serve byte-identical responses::
+every endpoint, and :class:`~repro.service.http.ThreadedTransport` binds it
+to a socket (one thread per connection)::
 
-    server = make_transport("threaded", ("127.0.0.1", 0), DaemonApp(service))
+    server = ThreadedTransport(("127.0.0.1", 0), DaemonApp(service))
     server.serve_forever()          # server.app.service is the service
 
 Endpoints:
@@ -55,8 +53,8 @@ precomputed cache-key headers (``X-Repro-Fingerprint`` & co.), a cache hit is
 served straight from the trusted headers without parsing the body — the shard
 "owns" its cache slice and answers hits locally.
 
-No third-party dependencies: the whole frontend is stdlib ``http.server`` /
-``asyncio`` + ``json``, matching the repo's stdlib-only constraint.
+No third-party dependencies: the whole frontend is stdlib ``http.server`` +
+``json``, matching the repo's stdlib-only constraint.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ from ..obs.prometheus import render_service_metrics
 from ..obs.tracing import Trace
 from .cache import MISS
 from .core import SchedulerService, request_from_payload
-from .http import App, Request, Response, Route, make_transport
+from .http import App, Request, Response, Route, ThreadedTransport
 
 __all__ = [
     "DaemonApp",
@@ -294,8 +292,6 @@ def start_background_server(
     host: str = "127.0.0.1",
     port: int = 0,
     service: SchedulerService | None = None,
-    *,
-    transport: str = "threaded",
     **app_kwargs,
 ):
     """Serve a :class:`DaemonApp` on a daemon thread; returns ``(server, thread)``.
@@ -306,7 +302,7 @@ def start_background_server(
     it with ``server.close()``.
     """
     app = DaemonApp(service, **app_kwargs)
-    server = make_transport(transport, (host, port), app, verbose=app.verbose)
+    server = ThreadedTransport((host, port), app, verbose=app.verbose)
     thread = threading.Thread(
         target=server.serve_forever, name="scheduler-service-http", daemon=True
     )

@@ -138,18 +138,14 @@ class TestRoutingInfo:
 # --------------------------------------------------------------------------- #
 # end-to-end cluster (thread backend: identical wire behaviour, fast startup)
 # --------------------------------------------------------------------------- #
-# Transport matrix: the end-to-end suite runs once per transport, with the
-# router *and* every shard on that frontend — wire behaviour must be
-# independent of which transport serves the sockets.
-@pytest.fixture(scope="class", params=["threaded", "asyncio"])
-def cluster(request):
+@pytest.fixture(scope="class")
+def cluster():
     handle = start_cluster(
         3,
         backend="thread",
-        spec=ShardSpec(workers=2, transport=request.param),
+        spec=ShardSpec(workers=2),
         respawn=False,
         allow_shutdown=False,
-        transport=request.param,
     )
     yield handle
     handle.close()
@@ -402,15 +398,13 @@ class TestClientRetries:
 class TestShardFastPath:
     def test_fast_headers_hit_without_body_parse(self):
         from repro.service import SchedulerService
-        from repro.service.http import make_transport
+        from repro.service.http import ThreadedTransport
         from repro.service.server import DaemonApp
         import threading
 
         service = SchedulerService(workers=2)
-        server = make_transport(
-            "threaded",
-            ("127.0.0.1", 0),
-            DaemonApp(service, trust_fast_headers=True),
+        server = ThreadedTransport(
+            ("127.0.0.1", 0), DaemonApp(service, trust_fast_headers=True)
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

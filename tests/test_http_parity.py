@@ -1,11 +1,7 @@
-"""Wire-level parity audits across transports and across apps.
+"""Wire-level parity audits across apps.
 
-Two invariants of the transport/app split, checked over raw sockets:
+The invariant of the transport/app split, checked over raw sockets:
 
-* **Cross-transport identity** — the same request against a threaded and an
-  asyncio daemon produces the same status, the same body bytes and the same
-  headers (modulo ``Date`` and the transport's ``Server`` tag, which name
-  the implementation by design).
 * **Daemon/router parity** — every shared error path (unknown path, bad
   query, bad body, disabled shutdown, ...) answers identically from the
   single-process daemon and the cluster router, because both are the same
@@ -71,7 +67,7 @@ ERROR_REQUESTS = [
     ("unknown-method", "PUT", "/healthz", b""),
 ]
 
-#: Headers that legitimately differ run-to-run or transport-to-transport.
+#: Headers that legitimately differ run-to-run or frontend-to-frontend.
 VOLATILE_HEADERS = frozenset({"date", "server", "x-repro-trace-id"})
 
 
@@ -119,53 +115,6 @@ def comparable(headers):
 
 
 @pytest.fixture(scope="class")
-def daemons():
-    servers = {}
-    for transport in ("threaded", "asyncio"):
-        servers[transport], _ = start_background_server(
-            allow_shutdown=False, transport=transport
-        )
-    yield servers
-    for server in servers.values():
-        server.close()
-
-
-class TestCrossTransportIdentity:
-    @pytest.mark.parametrize(
-        "name,method,target,body",
-        ERROR_REQUESTS,
-        ids=[r[0] for r in ERROR_REQUESTS],
-    )
-    def test_error_paths_byte_identical(self, daemons, name, method, target, body):
-        results = {}
-        for transport, server in daemons.items():
-            status, headers, payload = exchange(
-                server.server_address[:2], method, target, body
-            )
-            audit_structure(f"{transport}:{name}", status, headers, payload)
-            results[transport] = (status, comparable(headers), payload)
-        assert results["threaded"] == results["asyncio"]
-
-    def test_schedule_identical_modulo_elapsed(self, daemons):
-        results = {}
-        for transport, server in daemons.items():
-            status, headers, payload = exchange(
-                server.server_address[:2], "POST", "/schedule", SCHEDULE_BODY
-            )
-            audit_structure(f"{transport}:schedule", status, headers, payload)
-            document = json.loads(payload)
-            document.pop("elapsed_ms")
-            # The trace id value is random per request; its presence is not.
-            assert any(n == "x-repro-trace-id" for n, _ in headers)
-            # Content-Length tracks the digit count of the elapsed_ms we
-            # just popped; audit_structure already pinned it to the body.
-            clean = [(n, v) for n, v in headers if n != "content-length"]
-            results[transport] = (status, comparable(clean), document)
-        assert results["threaded"] == results["asyncio"]
-        assert results["threaded"][0] == 200
-
-
-@pytest.fixture(scope="class")
 def daemon_and_router():
     server, _ = start_background_server(allow_shutdown=False)
     cluster = start_cluster(
@@ -209,6 +158,8 @@ class TestDaemonRouterParity:
                 address, "POST", "/schedule", SCHEDULE_BODY
             )
             audit_structure(f"{which}:schedule", status, headers, payload)
+            # The trace id value is random per request; its presence is not.
+            assert any(n == "x-repro-trace-id" for n, _ in headers), which
             document = json.loads(payload)
             document.pop("elapsed_ms")
             results[which] = (status, document)
@@ -344,23 +295,6 @@ def comparable_frames(frames):
 
 
 class TestStreamedReplayParity:
-    def test_cross_transport_stream_identical(self, daemons):
-        """Status, headers, chunk boundaries and scrubbed chunk payloads all
-        agree between the threaded and asyncio transports."""
-        results = {}
-        for transport, server in daemons.items():
-            status, headers, frames, terminated = exchange_stream(
-                server.server_address[:2], REPLAY_BODY
-            )
-            assert status == 200 and terminated, f"{transport}: broken stream"
-            audit_stream_structure(f"{transport}:replay", headers, frames)
-            results[transport] = (
-                status,
-                comparable(headers),
-                comparable_frames(frames),
-            )
-        assert results["threaded"] == results["asyncio"]
-
     def test_daemon_router_stream_identical(self, daemon_and_router):
         """The router relays the shard's chunk stream frame-for-frame: same
         boundaries, same payloads, same terminating chunk."""
@@ -382,20 +316,16 @@ class TestStreamedReplayParity:
             )
         assert results["daemon"] == results["router"]
 
-    def test_stream_epochs_match_final_document(self, daemons):
+    def test_stream_epochs_match_final_document(self, daemon_and_router):
         """Protocol shape: every frame but the last is {"epoch": ...}, the
         last is the full response whose epochs ARE the streamed frames."""
-        for transport, server in daemons.items():
-            _, _, frames, _ = exchange_stream(
-                server.server_address[:2], REPLAY_BODY
-            )
-            documents = [json.loads(frame) for frame in frames]
-            assert all("epoch" in doc for doc in documents[:-1])
-            final = documents[-1]
-            assert final["result"]["epochs"] == [
-                doc["epoch"] for doc in documents[:-1]
-            ]
-            assert final["validation"] is not None
+        server, _ = daemon_and_router
+        _, _, frames, _ = exchange_stream(server.server_address[:2], REPLAY_BODY)
+        documents = [json.loads(frame) for frame in frames]
+        assert all("epoch" in doc for doc in documents[:-1])
+        final = documents[-1]
+        assert final["result"]["epochs"] == [doc["epoch"] for doc in documents[:-1]]
+        assert final["validation"] is not None
 
 
 class TestErrorMidStream:
@@ -403,7 +333,7 @@ class TestErrorMidStream:
     HTTP error (the 200 and the early chunks are already on the wire).  The
     pinned contract: the server aborts the chunked stream WITHOUT the
     terminating zero chunk and closes the connection — truncation is the
-    client's only error signal — identically on every frontend."""
+    client's only error signal — and the router relays it as is."""
 
     @pytest.fixture(scope="class")
     def boom_payload(self):
@@ -432,22 +362,19 @@ class TestErrorMidStream:
         ).encode()
         del ALGORITHMS["boom-mid"]
 
-    def test_truncation_identical_on_both_transports(self, daemons, boom_payload):
-        results = {}
-        for transport, server in daemons.items():
-            status, headers, frames, terminated = exchange_stream(
-                server.server_address[:2], boom_payload
-            )
-            assert status == 200, f"{transport}: error raced the first frame"
-            assert not terminated, f"{transport}: stream terminated cleanly!"
-            audit_stream_structure(f"{transport}:boom", headers, frames)
-            documents = [json.loads(frame) for frame in frames]
-            assert documents, f"{transport}: no epoch frame before the error"
-            assert all("epoch" in doc for doc in documents), (
-                f"{transport}: a final document leaked after the failure"
-            )
-            results[transport] = (status, comparable_frames(frames))
-        assert results["threaded"] == results["asyncio"]
+    def test_daemon_truncates_the_stream(self, daemon_and_router, boom_payload):
+        server, _ = daemon_and_router
+        status, headers, frames, terminated = exchange_stream(
+            server.server_address[:2], boom_payload
+        )
+        assert status == 200, "error raced the first frame"
+        assert not terminated, "stream terminated cleanly!"
+        audit_stream_structure("daemon:boom", headers, frames)
+        documents = [json.loads(frame) for frame in frames]
+        assert documents, "no epoch frame before the error"
+        assert all("epoch" in doc for doc in documents), (
+            "a final document leaked after the failure"
+        )
 
     def test_router_relays_the_truncation(self, daemon_and_router, boom_payload):
         server, cluster = daemon_and_router

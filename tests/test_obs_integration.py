@@ -19,7 +19,7 @@ from repro.service.client import ServiceClient, ServiceHTTPError
 from repro.service.cluster.router import RouterApp, start_cluster
 from repro.service.cluster.supervisor import ClusterSupervisor
 from repro.service.cluster.worker import ShardSpec
-from repro.service.http import make_transport
+from repro.service.http import ThreadedTransport
 from repro.workloads import uniform_instance
 
 from test_obs import parse_prometheus
@@ -198,8 +198,7 @@ class TestRetryPathTracing:
             backend="thread",
             respawn=False,
         ).start()
-        server = make_transport(
-            "threaded",
+        server = ThreadedTransport(
             ("127.0.0.1", 0),
             RouterApp(supervisor, forward_retries=1, retry_wait=0.01),
         )
@@ -240,8 +239,7 @@ class TestRetryPathTracing:
             backend="thread",
             respawn=False,
         ).start()
-        server = make_transport(
-            "threaded",
+        server = ThreadedTransport(
             ("127.0.0.1", 0),
             RouterApp(supervisor, forward_retries=1, retry_wait=0.01),
         )

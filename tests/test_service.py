@@ -370,14 +370,9 @@ class TestBatchingAndBackpressure:
 # HTTP frontend
 # --------------------------------------------------------------------------- #
 class TestHTTPFrontend:
-    # Transport matrix: every frontend test runs against both the threaded
-    # and the asyncio transport — the app layer is shared, so behaviour
-    # (and bytes) must not depend on which one serves the sockets.
-    @pytest.fixture(params=["threaded", "asyncio"])
-    def server(self, request):
-        server, _ = start_background_server(
-            allow_shutdown=False, transport=request.param
-        )
+    @pytest.fixture
+    def server(self):
+        server, _ = start_background_server(allow_shutdown=False)
         yield server
         server.close()
 

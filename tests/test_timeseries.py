@@ -52,7 +52,7 @@ from repro.service.cluster.supervisor import ClusterSupervisor
 from repro.service.cluster.worker import ShardSpec
 from repro.service.client import ServiceClient
 from repro.service.core import SchedulerService
-from repro.service.http import make_transport
+from repro.service.http import ThreadedTransport
 
 
 class FakeClock:
@@ -601,8 +601,8 @@ def cluster():
         # serving the monitor-cached document (the monitor is off here).
         health_interval=0.0,
     ).start()
-    server = make_transport(
-        "threaded", ("127.0.0.1", 0), RouterApp(supervisor, slo=SLO(p99_ms=100.0))
+    server = ThreadedTransport(
+        ("127.0.0.1", 0), RouterApp(supervisor, slo=SLO(p99_ms=100.0))
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

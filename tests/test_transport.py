@@ -1,13 +1,14 @@
-"""Asyncio-transport-specific tests (repro.service.http.aio).
+"""Transport tests (repro.service.http.threaded).
 
-The shared app-layer behaviour is covered by the transport matrix in
-test_service.py / test_cluster.py; this file exercises what only the
-asyncio frontend owns: the hand-rolled HTTP/1.1 parser (malformed input,
-header limits, chunked rejection), keep-alive and pipelining on one
-connection, slow clients dribbling bytes, oversized-body rejection before
-the body arrives, high-concurrency connection handling and the /shutdown
-lifecycle.  Everything talks raw sockets — the stdlib client would paper
-over exactly the framing behaviour under test.
+The shared app-layer behaviour is covered by test_service.py /
+test_cluster.py; this file exercises what the transport owns: request
+framing (malformed request line, header flood, bad Content-Length,
+chunked rejection — every one a JSON 400-class error that closes the
+connection), keep-alive and pipelining on one connection, slow clients
+dribbling bytes, oversized-body rejection before the body arrives,
+high-concurrency connection handling and the /shutdown lifecycle.
+Everything talks raw sockets — the stdlib client would paper over exactly
+the framing behaviour under test.
 """
 
 from __future__ import annotations
@@ -52,21 +53,30 @@ def read_response(rfile) -> tuple[int, dict[str, str], bytes]:
     return status, headers, body
 
 
+def assert_json_error_and_close(rfile, headers: dict, body: bytes) -> str:
+    """A framing error: JSON ``{"error": ...}``, honest length, then hang-up."""
+    assert headers["content-type"] == "application/json"
+    assert headers["content-length"] == str(len(body))
+    assert headers["connection"] == "close"
+    assert rfile.read() == b""  # server hung up
+    return json.loads(body)["error"]
+
+
 @pytest.fixture(scope="class")
-def aserver():
-    server, _ = start_background_server(allow_shutdown=False, transport="asyncio")
+def server():
+    server, _ = start_background_server(allow_shutdown=False)
     yield server
     server.close()
 
 
 @pytest.fixture
-def sock(aserver):
-    conn = socket.create_connection(aserver.server_address[:2], timeout=30)
+def sock(server):
+    conn = socket.create_connection(server.server_address[:2], timeout=30)
     yield conn
     conn.close()
 
 
-class TestAsyncioTransport:
+class TestThreadedTransport:
     def test_keep_alive_hundred_requests_on_one_connection(self, sock):
         rfile = sock.makefile("rb")
         for _ in range(100):
@@ -93,48 +103,48 @@ class TestAsyncioTransport:
         assert status == 404
         assert json.loads(body)["error"] == "unknown path '/nope?x=1'"
 
-    def test_leading_blank_lines_before_request_are_skipped(self, sock):
-        # RFC 9112 §2.2: a server SHOULD ignore CRLFs ahead of the
-        # request-line (trailing bytes of a sloppy previous request).
-        sock.sendall(b"\r\n\r\n" + request_bytes("GET", "/healthz"))
-        status, _, _ = read_response(sock.makefile("rb"))
-        assert status == 200
-
     def test_malformed_request_line_is_400_and_closes(self, sock):
         sock.sendall(b"GARBAGE\r\n\r\n")
         rfile = sock.makefile("rb")
         status, headers, body = read_response(rfile)
         assert status == 400
-        assert headers["connection"] == "close"
-        assert "error" in json.loads(body)
-        assert rfile.read() == b""  # server hung up
+        error = assert_json_error_and_close(rfile, headers, body)
+        assert "GARBAGE" in error
 
-    def test_malformed_header_line_is_400(self, sock):
-        sock.sendall(b"GET /healthz HTTP/1.1\r\nBad Header: x\r\n\r\n")
-        status, _, body = read_response(sock.makefile("rb"))
+    @pytest.mark.parametrize("value", ["nope", "-5"])
+    def test_bad_content_length_is_400(self, sock, value):
+        # The body bytes after the headers are never read: answering and
+        # closing keeps them from being parsed as a second request.
+        sock.sendall(
+            f"POST /schedule HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode()
+            + b"hello"
+        )
+        rfile = sock.makefile("rb")
+        status, headers, body = read_response(rfile)
         assert status == 400
-        assert "malformed header line" in json.loads(body)["error"]
-
-    def test_bad_content_length_is_400(self, sock):
-        sock.sendall(b"POST /schedule HTTP/1.1\r\nContent-Length: nope\r\n\r\n")
-        status, _, body = read_response(sock.makefile("rb"))
-        assert status == 400
-        assert "Content-Length" in json.loads(body)["error"]
+        error = assert_json_error_and_close(rfile, headers, body)
+        assert error == f"bad Content-Length {value!r}"
 
     def test_chunked_transfer_encoding_is_400(self, sock):
+        # The chunk bytes must not come back as a second (stdlib) response.
         sock.sendall(
             b"POST /schedule HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n"
         )
-        status, _, body = read_response(sock.makefile("rb"))
+        rfile = sock.makefile("rb")
+        status, headers, body = read_response(rfile)
         assert status == 400
-        assert "chunked" in json.loads(body)["error"]
+        error = assert_json_error_and_close(rfile, headers, body)
+        assert error == "chunked transfer encoding is not supported"
 
-    def test_header_flood_is_400(self, sock):
+    def test_header_flood_is_rejected_as_json(self, sock):
         flood = "".join(f"X-H{i}: v\r\n" for i in range(300))
         sock.sendall(f"GET /healthz HTTP/1.1\r\n{flood}\r\n".encode())
-        status, _, body = read_response(sock.makefile("rb"))
-        assert status == 400
-        assert "header lines" in json.loads(body)["error"]
+        rfile = sock.makefile("rb")
+        status, headers, body = read_response(rfile)
+        assert status == 431  # stdlib's status for more than 100 headers
+        error = assert_json_error_and_close(rfile, headers, body)
+        assert "headers" in error
 
     def test_oversized_body_rejected_before_reading_it(self, sock):
         # Only the headers are sent: the 400 must arrive without the server
@@ -162,11 +172,11 @@ class TestAsyncioTransport:
         assert status == 200
         assert "result" in json.loads(body)
 
-    def test_slow_consumer_of_replay_stream_never_blocks_the_loop(self, aserver):
+    def test_slow_consumer_of_replay_stream_never_blocks_the_server(self, server):
         # A client that dribble-reads a chunked /replay stream through a
-        # tiny receive buffer makes the transport's write buffer fill, so
-        # writer.drain() must suspend just this connection's coroutine —
-        # the event loop has to keep answering /healthz the whole time.
+        # tiny receive buffer makes the socket's send buffer fill, so the
+        # write blocks just this connection's handler thread — the server
+        # has to keep answering /healthz the whole time.
         # Reading to the end then proves the backpressure lost no bytes:
         # the stream terminates cleanly and the frames reassemble into the
         # final document's own epochs list.
@@ -184,7 +194,7 @@ class TestAsyncioTransport:
                 "kernel": "barrier",
             }
         ).encode()
-        host, port = aserver.server_address[:2]
+        host, port = server.server_address[:2]
         conn = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         conn.settimeout(60)
@@ -205,12 +215,12 @@ class TestAsyncioTransport:
                 raw += data
                 if raw.endswith(b"0\r\n\r\n"):
                     break
-                if len(raw) % 8192 < 512:  # probe the loop every ~8 KiB
+                if len(raw) % 8192 < 512:  # probe the server every ~8 KiB
                     time.sleep(0.005)
                     probe = http.client.HTTPConnection(host, port, timeout=10)
                     probe.request("GET", "/healthz")
                     assert probe.getresponse().status == 200, (
-                        "event loop starved while a slow consumer dribbled"
+                        "server starved while a slow consumer dribbled"
                     )
                     probe.close()
                     probes += 1
@@ -234,12 +244,12 @@ class TestAsyncioTransport:
         assert "result" in final
         assert [doc["epoch"] for doc in documents[:-1]] == final["result"]["epochs"]
 
-    def test_concurrent_connection_soak(self, aserver):
+    def test_concurrent_connection_soak(self, server):
         # Warm the one payload, then hold 64 concurrent keep-alive
         # connections firing it; every exchange must complete cleanly.
         import http.client
 
-        host, port = aserver.server_address[:2]
+        host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port)
         conn.request(
             "POST",
@@ -250,7 +260,7 @@ class TestAsyncioTransport:
         assert conn.getresponse().read()
         conn.close()
         report = run_soak(
-            aserver.url,
+            server.url,
             [SCHEDULE_BODY],
             connections=64,
             requests_per_connection=5,
@@ -259,10 +269,8 @@ class TestAsyncioTransport:
         assert report["ok"] + report["rejected"] == 64 * 5
         assert report["ok"] > 0
 
-    def test_shutdown_endpoint_stops_the_event_loop(self):
-        server, thread = start_background_server(
-            allow_shutdown=True, transport="asyncio"
-        )
+    def test_shutdown_endpoint_stops_the_serve_loop(self):
+        server, thread = start_background_server(allow_shutdown=True)
         try:
             with socket.create_connection(
                 server.server_address[:2], timeout=30
