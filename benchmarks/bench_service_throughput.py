@@ -1,23 +1,25 @@
 """Throughput benchmark for the scheduling service (PR 2 tentpole).
 
 Self-hosts a :mod:`repro.service` HTTP server on an ephemeral port and
-drives it with the cold/warm load generator:
+drives it through :class:`~repro.service.ServiceClient` threads:
 
 1. **Cold phase** — a pool of distinct instances (mixed + uniform families
    plus the deterministic adversarial instances), every request a
    fingerprint-cache miss that runs the full scheduler.
 2. **Warm phase** — the same pool replayed several times; every request is
-   answered from the LRU cache.  The acceptance bar is a ≥ 5× throughput
-   speedup of warm over cold (the repeated-instance workload the service
-   exists to amortise).
+   answered from the LRU cache and must carry the cold ``result`` bytes.
+   The acceptance bar is a ≥ 5× throughput speedup of warm over cold (the
+   repeated-instance workload the service exists to amortise).
 3. **Byte-identity check** — every service ``result`` payload (schedule +
    makespan) must be byte-identical, under canonical JSON, to a direct
    ``Scheduler.schedule()`` call on the same instance in this process.
-4. **Transport soak** — the HTTP transport serves the warm pool to
-   hundreds of concurrent keep-alive connections and may not drop one.
+4. **Observability overhead** — tracing + histograms may cost the warm
+   path at most 5%.
+
+The 256-connection transport soak lives in ``tests/test_transport.py``.
 
 Emits a ``BENCH {...}`` JSON line for CI artifact collection and exits
-non-zero when the speedup bar or the identity check fails.
+non-zero when any bar fails or any request errors.
 
 Run directly (CI uses ``--quick``)::
 
@@ -31,12 +33,132 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from repro.model.instance import Instance
 from repro.registry import make_scheduler
-from repro.service import canonical_json, run_loadtest, start_background_server
+from repro.service import (
+    ServiceClient,
+    ServiceHTTPError,
+    canonical_json,
+    start_background_server,
+)
 from repro.service.core import SchedulerService
-from repro.service.loadtest import build_workload_payloads, run_soak
+from repro.workloads.adversarial import fragmentation_instance, lpt_worst_case_instance
+from repro.workloads.generators import make_workload
+
+FAMILIES = ("mixed", "uniform")
+
+
+def build_pool(*, instances: int, tasks: int, procs: int) -> list[dict]:
+    """``POST /schedule`` bodies of the mixed instance pool.
+
+    ``instances`` synthetic instances drawn round-robin from
+    :data:`FAMILIES` (distinct seeds, so the cold phase is all fresh
+    content), plus the deterministic fragmentation and LPT-worst-case
+    instances.  Instances are embedded explicitly (``as_dict``) so a
+    replayed payload carries bit-identical profiles and therefore the same
+    fingerprint.
+    """
+    pool = [
+        make_workload(FAMILIES[i % len(FAMILIES)], tasks, procs, seed=i)
+        for i in range(instances)
+    ]
+    pool += [fragmentation_instance(procs), lpt_worst_case_instance(procs)]
+    return [{"algorithm": "mrt", "instance": inst.as_dict()} for inst in pool]
+
+
+def run_phase(
+    client: ServiceClient, encoded: list[bytes], *, concurrency: int
+) -> tuple[list[dict | None], list[float], float]:
+    """Fire every pre-encoded body once through ``concurrency`` client threads.
+
+    The bodies are encoded once by the caller: ``json.dumps`` of one
+    20x16 instance costs ~0.4 ms, under the same interpreter lock as the
+    in-process server, a sizeable share of a warm hit's own cost.  Returns
+    ``(responses, latencies_ms, seconds)``; a failed request leaves
+    ``None`` in ``responses`` and no latency.
+    """
+
+    def fire(body: bytes) -> tuple[dict | None, float | None]:
+        start = time.perf_counter()
+        try:
+            data = client._send("POST", "/schedule", body)[2]
+        except (ServiceHTTPError, OSError):
+            return None, None
+        response = json.loads(data)
+        return response, (time.perf_counter() - start) * 1e3
+
+    start = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        outcomes = list(pool.map(fire, encoded))
+    seconds = time.perf_counter() - start
+    responses = [response for response, _ in outcomes]
+    return responses, [ms for _, ms in outcomes if ms is not None], seconds
+
+
+def phase_summary(
+    name: str, responses: list[dict | None], latencies_ms: list[float], seconds: float
+) -> dict:
+    """Requests, errors, throughput, cache hits and latency percentiles.
+
+    Percentiles are taken over the union of every pass of the phase, not
+    averaged per pass.
+    """
+    return {
+        "name": name,
+        "requests": len(responses),
+        "errors": responses.count(None),
+        "seconds": seconds,
+        "rps": len(responses) / seconds if seconds > 0 else 0.0,
+        "cache_hits": sum(1 for r in responses if r is not None and r["cache_hit"]),
+        "p50_ms": float(np.percentile(latencies_ms, 50)) if latencies_ms else 0.0,
+        "p99_ms": float(np.percentile(latencies_ms, 99)) if latencies_ms else 0.0,
+    }
+
+
+def measure_cold_warm(
+    base_url: str, payloads: list[dict], *, repeats: int, concurrency: int
+) -> dict:
+    """One cold pass over ``payloads``, then ``repeats`` warm passes.
+
+    ``consistent`` is true when every warm ``result`` is byte-identical,
+    under canonical JSON, to the cold response for the same instance.
+    """
+    client = ServiceClient(base_url)
+    encoded = [json.dumps(p).encode() for p in payloads]
+    cold_responses, cold_ms, cold_seconds = run_phase(
+        client, encoded, concurrency=concurrency
+    )
+    reference = [
+        canonical_json(r["result"]) if r is not None else None
+        for r in cold_responses
+    ]
+    warm_responses: list[dict | None] = []
+    warm_ms: list[float] = []
+    warm_seconds = 0.0
+    consistent = True
+    for _ in range(repeats):
+        responses, latencies, seconds = run_phase(
+            client, encoded, concurrency=concurrency
+        )
+        warm_responses += responses
+        warm_ms += latencies
+        warm_seconds += seconds
+        for ref, response in zip(reference, responses):
+            if ref is not None and response is not None:
+                consistent = consistent and canonical_json(response["result"]) == ref
+    cold = phase_summary("cold", cold_responses, cold_ms, cold_seconds)
+    warm = phase_summary("warm", warm_responses, warm_ms, warm_seconds)
+    return {
+        "pool_size": len(payloads),
+        "cold": cold,
+        "warm": warm,
+        "speedup": warm["rps"] / cold["rps"] if cold["rps"] > 0 else float("inf"),
+        "consistent": consistent,
+    }
 
 
 def check_byte_identity(payloads: list[dict], base_url: str) -> int:
@@ -44,8 +166,6 @@ def check_byte_identity(payloads: list[dict], base_url: str) -> int:
 
     Returns the number of mismatching instances (0 = byte-identical).
     """
-    from repro.service import ServiceClient
-
     client = ServiceClient(base_url)
     mismatches = 0
     for payload in payloads:
@@ -90,8 +210,6 @@ def measure_obs_overhead(payloads: list[dict], *, repeats: int) -> float:
     Returns a fraction (0.05 = tracing makes the warm path 5% slower;
     small negatives are measurement noise).
     """
-    from repro.service import ServiceClient
-
     servers: dict[bool, object] = {}
     clients: dict[bool, ServiceClient] = {}
 
@@ -134,35 +252,6 @@ def measure_obs_overhead(payloads: list[dict], *, repeats: int) -> float:
             server.close()
 
 
-def measure_high_concurrency(
-    payloads: list[dict], *, connections: int, requests_per_connection: int
-) -> dict:
-    """Warm-hit soak of the HTTP transport at high connection fan-in.
-
-    Boots a daemon, primes its fingerprint cache with the full pool, then
-    holds ``connections`` concurrent keep-alive connections against it
-    (:func:`run_soak`).  Per-request work is identical cache hits, so the
-    soak measures how the transport handles hundreds of simultaneous
-    sockets.
-    """
-    from repro.service import ServiceClient
-
-    encoded = [json.dumps(p).encode() for p in payloads]
-    server, _ = start_background_server()
-    try:
-        client = ServiceClient(server.url)
-        for payload in payloads:
-            client.schedule_payload(payload)
-        return run_soak(
-            server.url,
-            encoded,
-            connections=connections,
-            requests_per_connection=requests_per_connection,
-        )
-    finally:
-        server.close()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small sizes for CI")
@@ -179,12 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         help="acceptance bar for the warm-path cost of tracing + "
         "histograms (default 0.05 = 5%%)",
     )
-    parser.add_argument(
-        "--soak-connections",
-        type=int,
-        default=256,
-        help="concurrent keep-alive connections in the transport soak",
-    )
     args = parser.parse_args(argv)
 
     instances = 6 if args.quick else 10
@@ -193,29 +276,14 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 3 if args.quick else 5
     concurrency = 6 if args.quick else 8
 
+    payloads = build_pool(instances=instances, tasks=tasks, procs=procs)
     server, _ = start_background_server(allow_shutdown=True)
     host, port = server.server_address[:2]
     base_url = f"http://{host}:{port}"
     print(f"self-hosted service on {base_url}")
     try:
-        report = run_loadtest(
-            base_url,
-            families=("mixed", "uniform"),
-            instances=instances,
-            tasks=tasks,
-            procs=procs,
-            seed=0,
-            repeats=repeats,
-            concurrency=concurrency,
-            algorithm="mrt",
-        )
-        payloads = build_workload_payloads(
-            families=("mixed", "uniform"),
-            instances=instances,
-            tasks=tasks,
-            procs=procs,
-            seed=0,
-            algorithm="mrt",
+        report = measure_cold_warm(
+            base_url, payloads, repeats=repeats, concurrency=concurrency
         )
         mismatches = check_byte_identity(payloads, base_url)
     finally:
@@ -225,14 +293,8 @@ def main(argv: list[str] | None = None) -> int:
         payloads, repeats=30 if args.quick else 60
     )
 
-    soak = measure_high_concurrency(
-        payloads,
-        connections=args.soak_connections,
-        requests_per_connection=8 if args.quick else 20,
-    )
-
     cold, warm = report["cold"], report["warm"]
-    print(f"pool: {report['config']['pool_size']} instances "
+    print(f"pool: {report['pool_size']} instances "
           f"({tasks} tasks x {procs} procs), {concurrency} client threads")
     print(f"cold : {cold['requests']:5d} requests  {cold['rps']:8.1f} req/s  "
           f"p50={cold['p50_ms']:7.2f}ms  p99={cold['p99_ms']:7.2f}ms")
@@ -244,9 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"byte-identical to direct calls : {mismatches == 0}")
     print(f"tracing+histogram warm-path cost: {obs_overhead:+.1%}  "
           f"(bar: {args.max_obs_overhead:.0%})")
-    print(f"soak : {soak['ok']:5d} ok of {soak['requests']} over "
-          f"{soak['connections']} connections  {soak['ok_rps']:8.1f} req/s  "
-          f"rejected={soak['rejected']}  errors={soak['errors']}")
     bench = {
         "benchmark": "service_throughput",
         "quick": args.quick,
@@ -256,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
         "obs_overhead_ratio": obs_overhead,
         "max_obs_overhead": args.max_obs_overhead,
         "cpu_count": os.cpu_count() or 1,
-        "soak": soak,
     }
     print("BENCH " + json.dumps(bench, sort_keys=True))
 
@@ -276,11 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"tracing+histogram warm-path overhead {obs_overhead:.1%} above "
             f"the {args.max_obs_overhead:.0%} bar"
-        )
-    if soak["errors"]:
-        failures.append(
-            f"soak had {soak['errors']} transport-level error(s) at "
-            f"{args.soak_connections} connections"
         )
     if failures:
         for failure in failures:

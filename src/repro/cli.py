@@ -11,8 +11,6 @@ Sub-commands
 ``compare``   Run the EXP-A style comparison sweep and print the summary table.
 ``mstar``     Print the m*(μ) curve of Figure 8.
 ``serve``     Run the HTTP scheduling service (see :mod:`repro.service`).
-``loadtest``  Drive a service (or a self-hosted one) with the cold/warm load
-              generator and print the throughput report.
 ``lint``      Run the repo-invariant static-analysis suite over ``src/repro``
               against the committed baseline (see :mod:`repro.lint`).
 """
@@ -234,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--allow-shutdown",
         action="store_true",
-        help="enable POST /shutdown (tests, CI smoke jobs)",
+        help="enable POST /shutdown (tests, benchmarks)",
     )
     srv.add_argument(
         "--ready-file",
@@ -243,58 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write 'host port' here once listening (test/automation hook)",
     )
     srv.add_argument("--verbose", action="store_true", help="log every request")
-
-    lt = sub.add_parser("loadtest", help="run the cold/warm service load generator")
-    lt.add_argument(
-        "--url",
-        default=None,
-        help="base URL of a running service; omitted = self-host an ephemeral server",
-    )
-    lt.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="self-host a sharded cluster with N shards instead of a "
-        "single-process daemon (only without --url)",
-    )
-    lt.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="client retries on 503 backpressure (capped jittered backoff)",
-    )
-    lt.add_argument(
-        "--families", nargs="+", default=["mixed", "uniform"],
-        choices=sorted(WORKLOAD_FAMILIES),
-    )
-    lt.add_argument("--instances", type=int, default=8, help="synthetic pool size")
-    lt.add_argument("--tasks", type=int, default=30)
-    lt.add_argument("--procs", type=int, default=16)
-    lt.add_argument("--seed", type=int, default=0)
-    lt.add_argument("--repeats", type=int, default=3, help="warm replay passes")
-    lt.add_argument("--concurrency", type=int, default=4, help="client threads")
-    lt.add_argument("--algorithm", default="mrt", choices=sorted(ALGORITHMS))
-    lt.add_argument("--validate", action="store_true", help="simulate-and-check replies")
-    lt.add_argument(
-        "--no-adversarial",
-        action="store_true",
-        help="skip the deterministic adversarial instances in the pool",
-    )
-    lt.add_argument(
-        "--soak",
-        type=int,
-        default=0,
-        metavar="N",
-        help="after the warm passes, hold N concurrent keep-alive connections "
-        "(high-concurrency soak phase; 0 disables)",
-    )
-    lt.add_argument(
-        "--soak-requests",
-        type=int,
-        default=20,
-        help="sequential requests fired down each soak connection",
-    )
-    lt.add_argument("--json", action="store_true", help="also print a BENCH JSON line")
 
     lint = sub.add_parser(
         "lint", help="run the repo-invariant static-analysis suite"
@@ -554,118 +500,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    """Drive a (possibly self-hosted) service and print the report."""
-    from .service import run_loadtest, start_background_server, start_cluster
-
-    server = None
-    cluster = None
-    base_url = args.url
-    if base_url is None:
-        if args.shards > 1:
-            cluster = start_cluster(args.shards, allow_shutdown=True)
-            base_url = cluster.url
-            print(
-                f"self-hosted {args.shards}-shard cluster on {base_url} "
-                f"(backend={cluster.supervisor.backend})"
-            )
-        else:
-            server, _ = start_background_server(allow_shutdown=True)
-            base_url = server.url
-            print(f"self-hosted service on {base_url}")
-    try:
-        report = run_loadtest(
-            base_url,
-            families=args.families,
-            instances=args.instances,
-            tasks=args.tasks,
-            procs=args.procs,
-            seed=args.seed,
-            repeats=args.repeats,
-            concurrency=args.concurrency,
-            algorithm=args.algorithm,
-            validate=args.validate,
-            include_adversarial=not args.no_adversarial,
-            retries=args.retries,
-            soak_connections=args.soak,
-            soak_requests=args.soak_requests,
-        )
-    finally:
-        if server is not None:
-            server.close()
-        if cluster is not None:
-            cluster.close()
-    cold, warm = report["cold"], report["warm"]
-    print(
-        f"pool={report['config']['pool_size']} instances  algorithm={args.algorithm}  "
-        f"concurrency={args.concurrency}"
-    )
-    for phase in (cold, warm):
-        print(
-            f"{phase['name']:<5} {phase['requests']:5d} requests in "
-            f"{phase['seconds']:7.2f}s  {phase['rps']:8.1f} req/s  "
-            f"p50={phase['p50_ms']:7.2f}ms  p99={phase['p99_ms']:7.2f}ms  "
-            f"hits={phase['cache_hits']}  errors={phase['errors']}"
-        )
-    soak = report.get("soak")
-    if soak:
-        print(
-            f"soak  {soak['requests']:5d} requests in {soak['seconds']:7.2f}s  "
-            f"{soak['rps']:8.1f} req/s  over {soak['connections']} "
-            f"keep-alive connections  503-rejected={soak['rejected']}  "
-            f"errors={soak['errors']}"
-        )
-    print(
-        f"warm/cold throughput speedup: {report['speedup']:.1f}x   "
-        f"responses consistent: {report['consistent']}   "
-        f"503 retries absorbed: {report['retries_total']}"
-    )
-    slo = report.get("slo")
-    if slo:
-        fast = slo["windows"]["fast"]
-        print(
-            f"SLO (p99<={slo['objective']['p99_ms']:g}ms, "
-            f"avail>={slo['objective']['availability']:g}): "
-            f"{'COMPLIANT' if slo['compliant'] else 'BREACHED'}  "
-            f"fast burn={slo['fast_burn']:.2f}x  "
-            f"slow burn={slo['slow_burn']:.2f}x  "
-            f"over-target={fast['fraction_over_target']:.2%}"
-        )
-        health = report.get("health") or {}
-        if health:
-            codes = ",".join(r["code"] for r in health["reasons"]) or "-"
-            print(
-                f"health: {health['state']}  reasons: {codes}  "
-                f"scale_hint: {health['scale_hint']['direction']}"
-            )
-    build = report.get("server_metrics", {}).get("build")
-    if build:
-        print(
-            f"server invariants: lint {build['lint_version']} "
-            f"ruleset {build['ruleset_hash']} ({len(build['rules'])} rules)"
-        )
-    if "shard_distribution" in report:
-        for shard_id, shard in sorted(
-            report["shard_distribution"].items(), key=lambda kv: int(kv[0])
-        ):
-            print(
-                f"shard {shard_id}: {shard['requests_forwarded']:5d} requests  "
-                f"hits={shard['cache_hits']}  fast={shard['fast_hits']}  "
-                f"errors={shard['errors']}  "
-                f"{'alive' if shard['alive'] else 'DOWN'}"
-            )
-        imbalance = report.get("imbalance") or {}
-        ratio = imbalance.get("max_over_ideal")
-        if ratio is not None:
-            print(f"shard imbalance (max/ideal requests): {ratio:.2f}x")
-    if args.json:
-        print("BENCH " + json.dumps(report, sort_keys=True))
-    clean = report["consistent"] and cold["errors"] == 0 and warm["errors"] == 0
-    if soak:
-        clean = clean and soak["errors"] == 0
-    return 0 if clean else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the CLI; returns the process exit code."""
     parser = build_parser()
@@ -723,9 +557,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         return _cmd_serve(args)
-
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
 
     if args.command == "lint":
         from .lint.cli import cmd_lint

@@ -1,7 +1,7 @@
 """RL002: scheduling hot paths must stay bitwise deterministic.
 
 Byte-identical shard responses (the differential conformance suite and the
-warm/cold consistency check of the load generator) require that identical
+warm/cold consistency check of the service benchmark) require that identical
 requests take identical code paths.  Two classic leaks are flagged: drawing
 from an unseeded random source (the stdlib ``random`` module's hidden
 global state, numpy's legacy ``np.random.*`` globals, or

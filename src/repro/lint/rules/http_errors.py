@@ -2,7 +2,7 @@
 
 The recurring PR 4/5 review theme: a client sending a malformed instance
 must get a 400 with a diagnostic, not a 500 — a 500 means *our* bug and is
-what the load generator counts as a server error.  Concretely, inside any
+what the benchmarks count as a server error.  Concretely, inside any
 ``try`` statement that sends a 500 from a broad handler (``Exception``,
 ``BaseException`` or the ``ReproError`` root), an earlier handler must
 already have mapped ``ModelError`` to a 4xx; and no handler that catches

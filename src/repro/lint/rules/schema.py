@@ -61,9 +61,6 @@ SCHEMAS: dict[str, frozenset[str]] = {
     "service/cache.py::CacheStats.as_dict": frozenset(
         {"hits", "misses", "evictions_lru", "evictions_ttl", "expired_purged", "hit_rate"}
     ),
-    "service/loadtest.py::PhaseStats.as_dict": frozenset(
-        {"name", "requests", "errors", "seconds", "rps", "cache_hits", "p50_ms", "p99_ms"}
-    ),
     "lint/findings.py::Finding.as_dict": frozenset(
         {"rule", "path", "line", "col", "symbol", "message"}
     ),

@@ -13,9 +13,8 @@ Turns the package's one-shot schedulers into a long-lived serving stack:
 * :mod:`~repro.service.server` — :class:`DaemonApp`, the daemon/shard
   application (``POST /schedule``, ``GET /healthz``, ``GET /metrics``) over
   that layer, and :func:`start_background_server`;
-* :mod:`~repro.service.client` — ``urllib`` client (with 503 retry/backoff);
-* :mod:`~repro.service.loadtest` — cold/warm load generator used by
-  ``python -m repro loadtest`` and the service throughput benchmark;
+* :mod:`~repro.service.client` — keep-alive ``http.client`` client (with
+  503 retry/backoff);
 * :mod:`~repro.service.cluster` — sharded cluster: consistent-hash cache
   shards (``ShardRing``), per-shard worker processes, the ``RouterApp``
   frontend and the ``ClusterSupervisor`` (``serve --shards N``).
@@ -31,7 +30,6 @@ from .core import (
     payload_fingerprint,
     request_from_payload,
 )
-from .loadtest import build_workload_payloads, run_loadtest
 from .http import ThreadedTransport
 from .server import DaemonApp, start_background_server
 from .cluster import (
@@ -59,12 +57,10 @@ __all__ = [
     "ShardRing",
     "ShardSpec",
     "ThreadedTransport",
-    "build_workload_payloads",
     "canonical_json",
     "compute_response",
     "payload_fingerprint",
     "request_from_payload",
-    "run_loadtest",
     "start_background_server",
     "start_cluster",
 ]

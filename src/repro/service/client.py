@@ -1,14 +1,13 @@
 """Minimal stdlib HTTP client for the scheduling service.
 
-Used by the load generator, the CLI ``loadtest`` subcommand, the CI smoke
-test and the service benchmark — anything that talks to a running
-``python -m repro serve``.  Only ``http.client`` + ``json``; no third-party
-dependencies.
+Used by the tests and the benchmark scripts — anything that talks to a
+running ``python -m repro serve``.  Only ``http.client`` + ``json``; no
+third-party dependencies.
 
 Connections are persistent (HTTP/1.1 keep-alive, one per calling thread,
 Nagle disabled — see :func:`repro.service.http.pool.open_http_connection`,
-shared with the router's forwarding path): a load generator fires thousands
-of requests at one base URL, and per-request TCP connects would otherwise
+shared with the router's forwarding path): a benchmark fires thousands of
+requests at one base URL, and per-request TCP connects would otherwise
 dominate the client side of every throughput measurement.  A request that
 fails on a *reused* connection (the server closed it while idle) is
 transparently retried once on a fresh one.
@@ -19,7 +18,7 @@ on the server side) is retried through the shared
 exponential backoff, ``retries`` attempts (default 3) with delays drawn
 uniformly from ``[0, min(backoff_cap, backoff * 2**attempt)]``.  The
 cumulative number of retries is exposed as
-:attr:`ServiceClient.retries_total` so load tests can report how much
+:attr:`ServiceClient.retries_total` so a caller can report how much
 backoff the run absorbed.
 """
 
@@ -186,16 +185,8 @@ class ServiceClient:
             self._retry_policy.sleep(attempt)
             attempt += 1
 
-    def _request(
-        self,
-        path: str,
-        payload: dict | None = None,
-        *,
-        raw: bytes | None = None,
-    ) -> dict:
-        if raw is not None:
-            body, method = raw, "POST"
-        elif payload is not None:
+    def _request(self, path: str, payload: dict | None = None) -> dict:
+        if payload is not None:
             body, method = json.dumps(payload).encode(), "POST"
         else:
             body, method = None, "GET"
@@ -256,15 +247,6 @@ class ServiceClient:
     def schedule_payload(self, payload: dict) -> dict:
         """POST a ``/schedule`` body (already in wire shape)."""
         return self._request("/schedule", payload=payload)
-
-    def schedule_raw(self, body: bytes) -> dict:
-        """POST pre-encoded ``/schedule`` bytes.
-
-        The load generator replays the same payloads thousands of times;
-        encoding them once keeps client-side JSON serialisation out of the
-        throughput measurement.
-        """
-        return self._request("/schedule", raw=body)
 
     def schedule(
         self,

@@ -816,8 +816,8 @@ def start_cluster(
 
     The cluster equivalent of
     :func:`~repro.service.server.start_background_server`; used by the
-    self-hosted ``loadtest --shards``, the cluster benchmark and the tests.
-    Stop it with :meth:`ClusterHandle.close`.
+    tests and the streaming-replay benchmark.  Stop it with
+    :meth:`ClusterHandle.close`.
     """
     supervisor = ClusterSupervisor(
         shards, spec=spec, backend=backend, vnodes=vnodes, respawn=respawn

@@ -16,7 +16,7 @@ anything else (``ReproError``, bugs)   500     ``{"error": "Type: message"}``
 
 A 4xx means the *client* sent something wrong (diagnostic attached); a 503
 means back off and retry; a 500 is reserved for genuine server bugs and is
-what the load generator counts as a server error.  Lint rule RL008 flags
+what the benchmarks count as a server error.  Lint rule RL008 flags
 any ``except`` handler elsewhere in ``service/`` that builds a status
 response itself, keeping this module the single source of truth.
 """

@@ -165,7 +165,7 @@ class ThreadedTransport(ThreadingHTTPServer):
 
     daemon_threads = True
     # socketserver's default accept backlog is 5: a high-concurrency client
-    # (the loadtest soak opens hundreds of connections at once) gets
+    # (tests/test_transport.py's soak opens 256 connections at once) gets
     # connection resets before a single byte of HTTP is spoken.
     request_queue_size = 128
 

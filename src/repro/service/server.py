@@ -44,7 +44,7 @@ Endpoints:
     cache with body ``{"all": true}``.  Returns the purge counts.
 ``POST /shutdown``
     Graceful stop — only honoured when the app was created with
-    ``allow_shutdown=True`` (tests, CI smoke jobs, self-hosted load tests);
+    ``allow_shutdown=True`` (tests and self-hosted benchmarks);
     403 otherwise.
 
 Shard deployments (:mod:`repro.service.cluster`) create the app with

@@ -270,69 +270,3 @@ class TestServeCluster:
         thread.join(timeout=30.0)
         assert not thread.is_alive(), "serve did not exit after /shutdown"
         assert codes == [0]
-
-
-class TestLoadtest:
-    def test_self_hosted_loadtest(self, capsys):
-        code = main(
-            [
-                "loadtest",
-                "--instances",
-                "2",
-                "--tasks",
-                "5",
-                "--procs",
-                "4",
-                "--repeats",
-                "1",
-                "--concurrency",
-                "2",
-                "--no-adversarial",
-                "--json",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "warm/cold throughput speedup" in out
-        assert "responses consistent: True" in out
-        bench_lines = [l for l in out.splitlines() if l.startswith("BENCH ")]
-        assert len(bench_lines) == 1
-        report = json.loads(bench_lines[0][len("BENCH "):])
-        assert report["warm"]["cache_hits"] == report["warm"]["requests"]
-        assert report["cold"]["errors"] == 0
-        assert report["retries_total"] == 0
-        assert "shard_distribution" not in report  # single-process target
-
-    def test_self_hosted_sharded_loadtest(self, capsys):
-        code = main(
-            [
-                "loadtest",
-                "--shards",
-                "2",
-                "--instances",
-                "4",
-                "--tasks",
-                "5",
-                "--procs",
-                "4",
-                "--repeats",
-                "1",
-                "--concurrency",
-                "2",
-                "--no-adversarial",
-                "--json",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "self-hosted 2-shard cluster" in out
-        assert "shard imbalance" in out
-        bench_lines = [l for l in out.splitlines() if l.startswith("BENCH ")]
-        report = json.loads(bench_lines[0][len("BENCH "):])
-        assert report["warm"]["cache_hits"] == report["warm"]["requests"]
-        assert set(report["shard_distribution"]) == {"0", "1"}
-        forwarded = sum(
-            s["requests_forwarded"] for s in report["shard_distribution"].values()
-        )
-        assert forwarded >= report["cold"]["requests"] + report["warm"]["requests"]
-        assert report["imbalance"]["max_over_ideal"] >= 1.0

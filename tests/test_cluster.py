@@ -281,6 +281,14 @@ class TestThreadBackendRespawn:
             client = ServiceClient(handle.url)
             inst = make_workload("uniform", 5, 4, seed=8)
             assert client.schedule(inst)["result"]["makespan"] > 0
+            # /healthz may serve the monitor's cached document for up to
+            # health_interval; the respawned fleet must read ok again.
+            deadline = time.monotonic() + 20.0
+            health = client.healthz()
+            while health["status"] != "ok" and time.monotonic() < deadline:
+                time.sleep(0.1)
+                health = client.healthz()
+            assert health["status"] == "ok" and health["alive"] == 2, health
         finally:
             handle.close()
 

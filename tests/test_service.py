@@ -406,6 +406,7 @@ class TestHTTPFrontend:
         assert canonical_json(first["result"]) == canonical_json(replay["result"])
         direct = make_scheduler("mrt").schedule(small_instance)
         assert first["result"]["makespan"] == direct.makespan()
+        assert client.metrics()["cache"]["hits"] >= 1
 
     def test_bad_request_is_400(self, client):
         with pytest.raises(ServiceHTTPError) as err:

@@ -7,21 +7,22 @@ chunked rejection — every one a JSON 400-class error that closes the
 connection), keep-alive and pipelining on one connection, slow clients
 dribbling bytes, oversized-body rejection before the body arrives,
 high-concurrency connection handling and the /shutdown lifecycle.
-Everything talks raw sockets — the stdlib client would paper over exactly
-the framing behaviour under test.
+The framing tests talk raw sockets — the stdlib client would paper over
+exactly the framing behaviour under test.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.service import start_background_server
 from repro.service.http.app import MAX_BODY_BYTES
-from repro.service.loadtest import run_soak
 
 SCHEDULE_BODY = json.dumps(
     {
@@ -51,6 +52,43 @@ def read_response(rfile) -> tuple[int, dict[str, str], bytes]:
         headers[name.strip().lower()] = value.strip()
     body = rfile.read(int(headers.get("content-length", 0)))
     return status, headers, body
+
+
+def soak(address, body: bytes, *, connections: int, requests: int) -> dict:
+    """``POST /schedule`` ``requests`` times down each of ``connections``
+    keep-alive connections, all opened at once behind a barrier.
+
+    A 503 is the bounded submit queue pushing back, so it counts as
+    ``rejected``; any other status, or an exchange that never completed,
+    counts as an error.
+    """
+    barrier = threading.Barrier(connections, timeout=60)
+    statuses: list[int] = []
+
+    def one_connection() -> None:
+        conn = http.client.HTTPConnection(*address, timeout=60)
+        try:
+            barrier.wait()
+            for _ in range(requests):
+                conn.request("POST", "/schedule", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+        except (OSError, http.client.HTTPException, threading.BrokenBarrierError):
+            pass
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=one_connection) for _ in range(connections)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads), "soak hung"
+    ok, rejected = statuses.count(200), statuses.count(503)
+    return {"ok": ok, "rejected": rejected,
+            "errors": connections * requests - ok - rejected}
 
 
 def assert_json_error_and_close(rfile, headers: dict, body: bytes) -> str:
@@ -180,8 +218,6 @@ class TestThreadedTransport:
         # Reading to the end then proves the backpressure lost no bytes:
         # the stream terminates cleanly and the frames reassemble into the
         # final document's own epochs list.
-        import http.client
-
         body = json.dumps(
             {
                 "generate": {
@@ -245,10 +281,9 @@ class TestThreadedTransport:
         assert [doc["epoch"] for doc in documents[:-1]] == final["result"]["epochs"]
 
     def test_concurrent_connection_soak(self, server):
-        # Warm the one payload, then hold 64 concurrent keep-alive
-        # connections firing it; every exchange must complete cleanly.
-        import http.client
-
+        # Warm the one payload, then hold 256 concurrent keep-alive
+        # connections firing it: twice request_queue_size, all connecting
+        # at once.  Every exchange must complete cleanly.
         host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port)
         conn.request(
@@ -259,14 +294,9 @@ class TestThreadedTransport:
         )
         assert conn.getresponse().read()
         conn.close()
-        report = run_soak(
-            server.url,
-            [SCHEDULE_BODY],
-            connections=64,
-            requests_per_connection=5,
-        )
+        report = soak((host, port), SCHEDULE_BODY, connections=256, requests=8)
         assert report["errors"] == 0
-        assert report["ok"] + report["rejected"] == 64 * 5
+        assert report["ok"] + report["rejected"] == 256 * 8
         assert report["ok"] > 0
 
     def test_shutdown_endpoint_stops_the_serve_loop(self):
