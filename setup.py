@@ -1,9 +1,21 @@
-"""Legacy shim so that ``pip install -e . --no-use-pep517`` works offline.
+"""Package metadata: ``pip install -e .`` installs ``repro`` from ``src/``.
 
-All project metadata lives in ``pyproject.toml``; this file only exists
-because the build environment has no network access and an old setuptools
-that cannot build editable wheels (PEP 660) without the ``wheel`` package.
+The version is read from ``src/repro/__init__.py`` (not imported, so
+building needs nothing but setuptools).  ``networkx`` is left out of
+``install_requires``: only the optional precedence extension uses it.
 """
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

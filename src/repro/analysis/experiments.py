@@ -172,32 +172,26 @@ def _pool_probe() -> int:
     return os.getpid()
 
 
-def make_pool(workers: int, *, prefer: str = "process") -> tuple[Executor, str]:
+def make_pool(workers: int) -> tuple[Executor, str]:
     """Build an executor with the process→thread fallback, return ``(pool, kind)``.
 
-    This is the shared dispatch backend of the experiment harness *and* of
-    :class:`repro.service.SchedulerService`.  With ``prefer="process"`` a
-    :class:`ProcessPoolExecutor` is created and probed with a trivial task
-    (worker processes start lazily on some platforms, so constructing the
-    pool alone proves nothing); when the platform forbids subprocesses
-    (restricted sandboxes) the probe fails and a :class:`ThreadPoolExecutor`
-    is returned instead.  ``kind`` is ``"process"`` or ``"thread"`` so
-    callers can adapt (e.g. deep-copy shared mutable state before submitting
-    to threads).  ``prefer="thread"`` skips the probe and always returns a
-    thread pool — the right default for a latency-sensitive service where
-    pickling instances per request would dominate.
+    This is the dispatch backend of the experiment harness (``compare
+    --workers``).  A :class:`ProcessPoolExecutor` is created and probed with
+    a trivial task (worker processes start lazily on some platforms, so
+    constructing the pool alone proves nothing); when the platform forbids
+    subprocesses (restricted sandboxes) the probe fails and a
+    :class:`ThreadPoolExecutor` is returned instead.  ``kind`` is
+    ``"process"`` or ``"thread"`` so callers can adapt (e.g. deep-copy
+    shared mutable state before submitting to threads).
     """
-    if prefer not in ("process", "thread"):
-        raise ValueError(f"prefer must be 'process' or 'thread', got {prefer!r}")
-    if prefer == "process":
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            pool.submit(_pool_probe).result()
-            return pool, "process"
-        except (OSError, PermissionError, BrokenProcessPool):
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        pool.submit(_pool_probe).result()
+        return pool, "process"
+    except (OSError, PermissionError, BrokenProcessPool):
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
     return ThreadPoolExecutor(max_workers=workers), "thread"
 
 

@@ -180,21 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="virtual nodes per shard on the consistent-hash ring",
     )
-    srv.add_argument("--workers", type=int, default=None, help="worker pool size")
-    srv.add_argument(
-        "--prefer",
-        default="thread",
-        choices=["thread", "process"],
-        help="worker pool kind (process falls back to threads in sandboxes)",
-    )
-    srv.add_argument("--batch-size", type=int, default=32, help="micro-batch bound")
-    srv.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=0.0,
-        help="hold micro-batches open this long for stragglers "
-        "(milliseconds; 0 = drain only what is already queued)",
-    )
+    srv.add_argument("--workers", type=int, default=None, help="compute slots")
     srv.add_argument("--cache-capacity", type=int, default=2048)
     srv.add_argument(
         "--cache-ttl",
@@ -417,24 +403,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_spec_from_args(args: argparse.Namespace):
-    from .service.cluster import ShardSpec
-
-    return ShardSpec(
-        workers=args.workers,
-        prefer=args.prefer,
-        batch_size=args.batch_size,
-        batch_wait=args.batch_wait_ms / 1e3,
-        cache_capacity=args.cache_capacity,
-        cache_ttl=args.cache_ttl,
-        purge_interval=args.purge_interval,
-        max_pending=args.max_pending,
-        verbose=args.verbose,
-        sample_interval=args.sample_interval or None,
-        slo_p99_ms=args.slo_p99_ms,
-    )
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP scheduling service until interrupted or shut down.
 
@@ -445,22 +413,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     from .obs.slo import SLO
-    from .service import ClusterSupervisor, DaemonApp, RouterApp, ThreadedTransport
+    from .service import (
+        ClusterSupervisor, DaemonApp, RouterApp, ShardSpec, ThreadedTransport
+    )
 
-    spec = _shard_spec_from_args(args)
+    spec = ShardSpec(
+        workers=args.workers,
+        cache_capacity=args.cache_capacity,
+        cache_ttl=args.cache_ttl,
+        purge_interval=args.purge_interval,
+        max_pending=args.max_pending,
+        verbose=args.verbose,
+        sample_interval=args.sample_interval or None,
+        slo_p99_ms=args.slo_p99_ms,
+    )
+    try:
+        # The service's constructor owns every check of the spec; run it
+        # once here, before anything binds or spawns a shard.
+        service = spec.build_service()
+    except ValueError as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
     ttl = f", ttl={args.cache_ttl:g}s" if args.cache_ttl else ""
     supervisor = None
     if args.shards == 1:
-        service = spec.build_service()
         app = DaemonApp(
             service, allow_shutdown=args.allow_shutdown, verbose=args.verbose
         )
         name = "scheduling service"
-        details = (
-            f"workers={service.workers}, pool={service.pool_kind}, "
-            f"cache={service.cache.capacity}{ttl}"
-        )
+        details = f"workers={service.workers}, cache={service.cache.capacity}{ttl}"
     else:
+        service.close()
         supervisor = ClusterSupervisor(
             args.shards, spec=spec, backend=args.shard_backend, vnodes=args.vnodes
         ).start()

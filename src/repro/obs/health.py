@@ -6,7 +6,7 @@ states a probe, a load balancer or the cluster supervisor can act on:
 * ``ok`` — no objective burning, fleet complete, queue stable.
 * ``degraded`` — something is wrong but the service still serves:
   one burn window breached, a shard down (respawn pending), or the
-  dispatcher queue growing faster than it drains.
+  count of requests in flight growing faster than they finish.
 * ``failing`` — actively failing its users: the whole fleet is dead, or
   **both** burn windows are breached (the classic multi-window signal —
   burning now *and* persistently).  ``/healthz`` maps this state to
@@ -137,7 +137,7 @@ def _queue_growth_reason(slo_status: dict) -> dict | None:
         "detail": (
             f"queue depth grew {queue['first']:g} -> {queue['last']:g} "
             f"over the fast window (mean {queue['mean']:.1f}): arrivals "
-            f"outpace the dispatcher"
+            f"outpace the service"
         ),
     }
 

@@ -33,9 +33,9 @@ SPAN_PARSE = "parse"
 SPAN_FINGERPRINT = "fingerprint"
 #: Fingerprint-cache probe (hit or miss).
 SPAN_CACHE_LOOKUP = "cache_lookup"
-#: Enqueue -> micro-batch drain (dispatcher pickup).
+#: Cache miss -> a free compute slot.
 SPAN_QUEUE_WAIT = "queue_wait"
-#: Pool submit -> scheduler result for the request's batch.
+#: Scheduler run for the miss (meta: group_size, the requests it answers).
 SPAN_BATCH_COMPUTE = "batch_compute"
 #: Response dict -> JSON bytes on the wire.
 SPAN_SERIALIZE = "serialize"
@@ -95,13 +95,13 @@ METRIC_HISTORY_SAMPLES = "repro_history_samples"
 METRICS: dict[str, tuple[str, str]] = {
     METRIC_REQUESTS_TOTAL: ("counter", "Requests accepted by the service"),
     METRIC_REJECTIONS_TOTAL: ("counter", "Requests rejected at admission"),
-    METRIC_BATCHES_TOTAL: ("counter", "Micro-batches dispatched to the pool"),
-    METRIC_DEDUPED_TOTAL: ("counter", "Requests deduplicated inside a batch"),
+    METRIC_BATCHES_TOTAL: ("counter", "Requests answered by the full pipeline"),
+    METRIC_DEDUPED_TOTAL: ("counter", "Requests answered by another in-flight compute"),
     METRIC_FAST_HITS_TOTAL: (
         "counter",
         "Trusted-header fast-path cache hits",
     ),
-    METRIC_QUEUE_DEPTH: ("gauge", "Requests waiting for the dispatcher"),
+    METRIC_QUEUE_DEPTH: ("gauge", "Requests in flight"),
     METRIC_CACHE_HITS_TOTAL: ("counter", "Fingerprint cache hits"),
     METRIC_CACHE_MISSES_TOTAL: ("counter", "Fingerprint cache misses"),
     METRIC_CACHE_SIZE: ("gauge", "Entries resident in the fingerprint cache"),

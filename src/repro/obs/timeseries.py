@@ -9,8 +9,8 @@ memory:
   cumulative counters and a cumulative
   :class:`~repro.obs.histogram.LatencyHistogram` snapshot.
 * :class:`MetricRing` — a bounded ring of samples taken at a
-  configurable interval on an injectable clock (the service's dispatcher
-  drives it from its idle tick, so no extra thread exists).
+  configurable interval on an injectable clock (the service's 0.1 s
+  tick drives it, beside the cache purge).
 * :class:`WindowDelta` — the *exact* difference between two ring
   samples: because counters and histogram bucket counts are monotone,
   subtracting an old cumulative snapshot from the newest one yields
@@ -220,8 +220,8 @@ class MetricRing:
     """Bounded ring of :class:`MetricSample` on an injectable clock.
 
     ``capacity`` bounds memory regardless of uptime (old samples fall
-    off); ``interval`` gates :meth:`maybe_sample` so the dispatcher's
-    idle tick can call it unconditionally; ``interval=None`` disables
+    off); ``interval`` gates :meth:`maybe_sample` so the service's
+    tick can call it unconditionally; ``interval=None`` disables
     interval-driven sampling while leaving explicit :meth:`record`
     (and :meth:`sample_now`-style callers) functional.
     """

@@ -2,8 +2,8 @@
 
 One :class:`Trace` follows one request through the stack.  Spans opened
 with :meth:`Trace.span` nest via a ``contextvars`` context variable, so
-the handler thread gets parent/child structure for free; stages that run
-on *other* threads (the dispatcher's queue-wait and batch-compute
+the handler thread gets parent/child structure for free; stages timed
+outside a ``with`` block (the service's queue-wait and batch-compute
 accounting) stamp their own perf-counter interval and attach it with
 :meth:`Trace.record_span` instead.
 

@@ -2,10 +2,11 @@
 
 Turns the package's one-shot schedulers into a long-lived serving stack:
 
-* :class:`~repro.service.core.SchedulerService` — in-process facade with a
-  micro-batching request queue, a worker pool (shared dispatch machinery
-  with the experiment harness) and an LRU+TTL result cache keyed by
-  :meth:`Instance.fingerprint() <repro.model.instance.Instance.fingerprint>`;
+* :class:`~repro.service.core.SchedulerService` — in-process facade that
+  answers each request on the caller's thread from an LRU+TTL result cache
+  keyed by :meth:`Instance.fingerprint()
+  <repro.model.instance.Instance.fingerprint>`, with single-flight misses
+  over a bounded number of compute slots;
 * :mod:`~repro.service.http` — the transport/app split: a shared
   WSGI-style core (``Request``/``Response``/``App``) and its one frontend,
   the threaded ``http.server`` transport; ``ThreadedTransport(address,

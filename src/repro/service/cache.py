@@ -147,8 +147,8 @@ class LRUTTLCache:
     def purge_expired(self) -> int:
         """Drop every expired entry now; returns the number removed.
 
-        Eager purges are counted in ``stats.expired_purged`` (the service
-        drain loop runs this periodically so long-idle shards do not pin dead
+        Eager purges are counted in ``stats.expired_purged`` (the service's
+        tick runs this periodically so long-idle shards do not pin dead
         entries), while ``stats.evictions_ttl`` counts only the lazy drops
         that happen on access.
         """

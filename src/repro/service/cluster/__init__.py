@@ -18,7 +18,7 @@ set.  This package scales the cache *horizontally* instead:
 
 Shared-nothing eviction protocol: no cross-shard invalidation exists or is
 needed (keys are partitioned), entries age out via TTL + the periodic
-drain-loop purge, and ``POST /purge`` is the explicit eviction message.
+purge, and ``POST /purge`` is the explicit eviction message.
 
 Entry points: ``python -m repro serve --shards N`` (CLI) or
 :func:`start_cluster` (in-process, used by tests and benchmarks).

@@ -9,7 +9,7 @@ are served locally, straight from the handler thread.
 Shared-nothing by construction: the router partitions the key space with the
 :class:`~repro.service.cluster.ring.ShardRing`, so no entry ever exists on
 two shards and there is no cross-shard invalidation; eviction is TTL expiry
-(plus the periodic drain-loop purge) and the explicit ``POST /purge``
+(plus the service's periodic purge) and the explicit ``POST /purge``
 control message.
 
 Two backends, one interface (:class:`ShardHandle`):
@@ -50,16 +50,14 @@ __all__ = [
 class ShardSpec:
     """Picklable per-shard service configuration.
 
-    Mirrors the :class:`~repro.service.core.SchedulerService` constructor
-    (minus the injectable clock, which cannot cross a process boundary).
-    Every shard of a cluster runs the same spec; the *capacity* of the
-    cluster cache is therefore ``shards * cache_capacity``.
+    The :class:`~repro.service.core.SchedulerService` knobs ``serve``
+    exposes (no clock — it cannot cross a process boundary — and the SLO
+    as one ``slo_p99_ms`` number), plus the app's ``verbose``.  Every shard
+    of a cluster runs the same spec; the *capacity* of the cluster cache is
+    therefore ``shards * cache_capacity``.
     """
 
     workers: int | None = None
-    prefer: str = "thread"
-    batch_size: int = 32
-    batch_wait: float = 0.0
     cache_capacity: int = 2048
     cache_ttl: float | None = None
     purge_interval: float | None = None

@@ -1,40 +1,33 @@
-"""In-process scheduling service: micro-batching, worker dispatch, caching.
+"""In-process scheduling service: caching, single-flight compute, backpressure.
 
 :class:`SchedulerService` is the serving-layer facade over the package's
-schedulers.  Requests (:class:`ScheduleRequest`) enter a bounded queue; a
-dispatcher thread drains them in *micro-batches* (up to ``batch_size``
-requests, waiting at most ``batch_wait`` seconds for stragglers), groups
-each batch by cache key, answers hits straight from the
-:class:`~repro.service.cache.LRUTTLCache`, collapses duplicate in-batch
-requests into a single computation, and fans the distinct misses out over a
-worker pool built by :func:`repro.analysis.experiments.make_pool` — the same
-process→thread fallback machinery that powers ``compare --workers``.
+schedulers.  :meth:`SchedulerService.schedule` answers one
+:class:`ScheduleRequest` on the caller's thread (the HTTP transport gives
+each connection its own): hits come straight from the
+:class:`~repro.service.cache.LRUTTLCache`; a miss joins the computation
+already running for the same key, or else takes one of ``workers`` compute
+slots and runs :func:`compute_response` itself.
 
 The cache key is ``(Instance.fingerprint(), algorithm, canonical params
 JSON, validate)``: instances repeat in real workloads (same job mix,
 different labels), so a content hash turns the allotment engine's cached
 replay speedup into end-to-end service throughput.
 
-Everything here is synchronous-friendly: :meth:`SchedulerService.submit`
-returns a :class:`concurrent.futures.Future`, :meth:`SchedulerService.schedule`
-blocks for the response dict.  The HTTP frontend in
-:mod:`repro.service.server` is a thin translation layer over this class.
+The HTTP frontend in :mod:`repro.service.server` is a thin translation
+layer over this class.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from ..analysis.experiments import make_pool
 from ..exceptions import ModelError, ServiceOverloadedError
 from ..lint.registry import build_info as lint_build_info
 from ..model.instance import Instance, profile_fingerprint
@@ -78,7 +71,8 @@ class ScheduleRequest:
     ``as_dict`` payload.  The raw form is the service hot path: the HTTP
     frontend fingerprints the payload directly
     (:func:`payload_fingerprint`), so a cache hit never pays for instance
-    construction — the ``Instance`` is only built inside a worker on a miss.
+    construction — the ``Instance`` is only built by :func:`compute_response`
+    on a miss.
     A dict ``instance`` must come with its precomputed ``fingerprint``
     (:func:`request_from_payload` guarantees this).
     """
@@ -166,9 +160,9 @@ def request_from_payload(payload: dict) -> ScheduleRequest:
     try:
         if "instance" in payload:
             # Hot path: fingerprint the raw payload; materialise the Instance
-            # lazily (in a worker, only on a cache miss).  Payloads the fast
-            # fingerprint cannot handle are materialised here so malformed
-            # input fails with a ModelError at parse time.
+            # lazily (only on a cache miss).  Payloads the fast fingerprint
+            # cannot handle are materialised here so malformed input fails
+            # with a ModelError at parse time.
             instance: Instance | dict = payload["instance"]
             fingerprint = payload_fingerprint(instance) if isinstance(instance, dict) else None
             if fingerprint is None:
@@ -215,13 +209,11 @@ def compute_response(
 ) -> dict:
     """Run the scheduler and build the cacheable response payload.
 
-    Module-level (hence picklable) so it can execute on either a thread or a
-    process pool.  ``instance`` may still be a raw payload dict (the lazy
-    hot path); it is materialised here, on the worker, so parsing cost is
-    only ever paid on a cache miss.  The ``"result"`` sub-object is a pure
-    function of the request content — deterministic schedulers make a cached
-    replay byte-identical (under :func:`canonical_json`) to a direct
-    ``Scheduler.schedule()`` call.
+    ``instance`` may still be a raw payload dict (the lazy hot path); it is
+    materialised here, so parsing cost is only ever paid on a cache miss.
+    The ``"result"`` sub-object is a pure function of the request content —
+    deterministic schedulers make a cached replay byte-identical (under
+    :func:`canonical_json`) to a direct ``Scheduler.schedule()`` call.
     """
     if isinstance(instance, dict):
         instance = Instance.from_dict(instance)
@@ -249,43 +241,28 @@ def compute_response(
 
 
 @dataclass
-class _Pending:
-    """A queued request with its future and enqueue timestamp."""
+class _Flight:
+    """One computation in progress; identical misses wait on it."""
 
-    request: ScheduleRequest
-    key: tuple
-    future: Future
-    enqueued: float
-    trace: Trace | None = None
-
-
-_SHUTDOWN = object()
+    done: threading.Event = field(default_factory=threading.Event)
+    waiters: int = 0
+    payload: dict | None = None
+    error: BaseException | None = None
 
 
 class SchedulerService:
-    """Micro-batching scheduling service with a fingerprint result cache.
+    """Scheduling service with a fingerprint result cache and single-flight misses.
 
     Parameters
     ----------
     workers:
-        Worker pool size (default: up to 4, bounded by the CPU count).
-    prefer:
-        ``"thread"`` (default — no per-request pickling, shares the
-        allotment-engine caches) or ``"process"`` (real parallelism for
-        CPU-heavy mixes; falls back to threads in restricted sandboxes).
-    batch_size / batch_wait:
-        Micro-batch bounds.  The dispatcher blocks for the first request,
-        then drains whatever else is already queued (up to ``batch_size``) —
-        under load, requests pile up while the previous batch is served, so
-        batches form naturally without delaying an idle queue.  A positive
-        ``batch_wait`` additionally holds the batch open up to that many
-        seconds for stragglers, which buys more in-batch deduplication of
-        identical requests at the cost of added hit latency; the default is
-        0 (never wait).
+        Number of compute slots: at most this many distinct misses run
+        :func:`compute_response` at once (default: up to 4, bounded by the
+        CPU count).  ``--shards N`` is the way to use several cores.
     cache_capacity / cache_ttl:
         LRU capacity and optional TTL (seconds) of the result cache.
     purge_interval:
-        How often (seconds) the dispatcher eagerly drops expired cache
+        How often (seconds) the service's tick eagerly drops expired cache
         entries (:meth:`LRUTTLCache.purge_expired`) so a long-idle service
         does not pin dead entries until the next lookup.  ``None`` (default)
         purges once per ``cache_ttl``; ignored when no TTL is configured.
@@ -295,12 +272,9 @@ class SchedulerService:
         ``/replay`` path.  Content-addressed, so no TTL applies.
     max_pending:
         Backpressure bound on in-flight requests; beyond it
-        :meth:`submit` raises :class:`~repro.exceptions.ServiceOverloadedError`.
+        :meth:`schedule` raises :class:`~repro.exceptions.ServiceOverloadedError`.
     clock:
         Time source for the cache TTL (injectable for tests).
-    autostart:
-        Start the dispatcher thread immediately (tests drive
-        :meth:`_handle_batch` directly with ``autostart=False``).
     tracing:
         Record per-request spans into the bounded trace store (default on;
         the overhead benchmark gate measures its cost with this off).
@@ -313,8 +287,8 @@ class SchedulerService:
         service records (shard workers use ``"shard-<id>"``).
     sample_interval / history_capacity:
         Cadence (seconds) and ring capacity of the metric time series
-        (:class:`~repro.obs.timeseries.MetricRing`).  The dispatcher's
-        idle tick drives sampling — no extra thread.  ``sample_interval=
+        (:class:`~repro.obs.timeseries.MetricRing`).  The service's 0.1 s
+        tick drives sampling beside the cache purge.  ``sample_interval=
         None`` disables interval sampling (tests call :meth:`sample_now`
         instead).  The defaults retain 12 minutes of 1 Hz samples —
         enough to cover the default slow SLO window.
@@ -327,16 +301,12 @@ class SchedulerService:
         self,
         *,
         workers: int | None = None,
-        prefer: str = "thread",
-        batch_size: int = 32,
-        batch_wait: float = 0.0,
         cache_capacity: int = 2048,
         cache_ttl: float | None = None,
         purge_interval: float | None = None,
         plan_cache_capacity: int = 512,
         max_pending: int = 1024,
         clock: Callable[[], float] = time.monotonic,
-        autostart: bool = True,
         tracing: bool = True,
         trace_capacity: int = 256,
         slow_ms: float = 500.0,
@@ -346,13 +316,11 @@ class SchedulerService:
         history_capacity: int = 720,
         slo: SLO | None = None,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if workers is not None and workers < 0:
+            raise ValueError("workers must be >= 1 (or 0/None for the default)")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.workers = workers or max(2, min(4, os.cpu_count() or 2))
-        self.batch_size = int(batch_size)
-        self.batch_wait = float(batch_wait)
         self.max_pending = int(max_pending)
         if purge_interval is not None and purge_interval <= 0:
             raise ValueError("purge_interval must be positive (or None for auto)")
@@ -373,8 +341,8 @@ class SchedulerService:
         self._next_purge = (
             clock() + self.purge_interval if self.purge_interval is not None else None
         )
-        self._pool, self.pool_kind = make_pool(self.workers, prefer=prefer)
-        self._queue: queue.Queue = queue.Queue()
+        self._slots = threading.BoundedSemaphore(self.workers)
+        self._inflight: dict[tuple, _Flight] = {}
         self._lock = threading.Lock()
         self._pending = 0
         self._requests_total = 0
@@ -394,28 +362,33 @@ class SchedulerService:
         )
         self._started = time.monotonic()
         self._closed = False
-        self._dispatcher: threading.Thread | None = None
-        if autostart:
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="scheduler-service-dispatch", daemon=True
-            )
-            self._dispatcher.start()
+        self._stop = threading.Event()
+        self._ticker = threading.Thread(
+            target=self._tick_loop, name="scheduler-service-tick", daemon=True
+        )
+        self._ticker.start()
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def submit(
-        self, request: ScheduleRequest, *, trace: Trace | None = None
-    ) -> Future:
-        """Enqueue a request; returns a future resolving to the response dict.
+    def schedule(
+        self,
+        request: ScheduleRequest,
+        *,
+        trace: Trace | None = None,
+        timeout: float | None = None,
+    ) -> dict:
+        """Answer one request on the calling thread; returns the response dict.
 
         The response is the :func:`compute_response` payload plus per-request
-        metadata: ``"cache_hit"`` and ``"elapsed_ms"`` (queue + compute time
-        as observed by the service).  A ``trace`` (usually minted by the HTTP
-        frontend) collects queue-wait / cache-lookup / batch-compute spans as
-        the request moves through the dispatcher.  Raises
-        :class:`~repro.exceptions.ServiceOverloadedError` when ``max_pending``
-        requests are already in flight.
+        metadata: ``"cache_hit"`` and ``"elapsed_ms"`` (lookup, wait and
+        compute time as observed by the service).  A ``trace`` (usually
+        minted by the HTTP frontend) collects the cache-lookup, queue-wait
+        and batch-compute spans.  ``timeout`` bounds each wait — for a
+        compute slot or for another request's identical computation — and
+        raises :class:`TimeoutError` when it runs out.  Raises
+        :class:`~repro.exceptions.ServiceOverloadedError` when
+        ``max_pending`` requests are already in flight.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -432,29 +405,30 @@ class SchedulerService:
                 )
             self._pending += 1
             self._requests_total += 1
-        pending = _Pending(
-            request=request,
-            key=key,
-            future=Future(),
-            enqueued=time.perf_counter(),
-            trace=trace if self.tracing else None,
-        )
-        self._queue.put(pending)
-        return pending.future
-
-    def schedule(self, request: ScheduleRequest, *, timeout: float | None = None) -> dict:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(request).result(timeout=timeout)
+            self._batches += 1
+        start = time.perf_counter()
+        try:
+            payload, cache_hit = self._lookup_or_compute(
+                request, key, trace if self.tracing else None, timeout
+            )
+        finally:
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            with self._lock:
+                self._pending -= 1
+        self.note_latency(elapsed_ms)
+        response = dict(payload)  # shallow: "result" is shared and read-only
+        response["cache_hit"] = cache_hit
+        response["elapsed_ms"] = elapsed_ms
+        return response
 
     def serve_cached(self, key: tuple) -> Any:
         """Fast-path cache probe: the payload for ``key``, or :data:`MISS`.
 
         Used by the HTTP frontend when a trusted router forwarded the request
         with a precomputed cache key (sharded deployments): a hit is served
-        straight from the handler thread — no body parse, no fingerprinting,
-        no dispatcher round-trip.  Hits are counted as requests and as
-        ``fast_hits``; a miss is *not* counted (the caller falls back to
-        :meth:`submit`, which performs the authoritative counted lookup).
+        without a body parse or fingerprinting.  Hits are counted as requests
+        and as ``fast_hits``; a miss is *not* counted (the caller falls back
+        to :meth:`schedule`, which performs the authoritative counted lookup).
         """
         value = self.cache.get_if_hit(key)
         if value is not MISS:
@@ -464,7 +438,7 @@ class SchedulerService:
         return value
 
     def note_latency(self, elapsed_ms: float) -> None:
-        """Record an externally measured request latency (fast-path hits)."""
+        """Record one answered request's latency."""
         with self._lock:
             self.latency.observe(elapsed_ms)
 
@@ -491,7 +465,7 @@ class SchedulerService:
         return gauges, counters, latency
 
     def _maybe_sample(self) -> None:
-        """Dispatcher idle-tick hook: sample once per ``sample_interval``."""
+        """Tick hook: sample once per ``sample_interval``."""
         self.history.maybe_sample(self._collect_sample)
 
     def sample_now(self) -> None:
@@ -560,7 +534,6 @@ class SchedulerService:
                 "enabled": self.tracing,
             },
             "workers": self.workers,
-            "pool": self.pool_kind,
             "slo": self.slo_status(),
             "health": self.health(),
             "history": {
@@ -574,16 +547,11 @@ class SchedulerService:
             "build": lint_build_info(),
         }
 
-    def close(self, *, wait: bool = True) -> None:
-        """Stop the dispatcher and shut the worker pool down."""
-        if self._closed:
-            return
+    def close(self) -> None:
+        """Stop the purge/sample tick; later requests raise ``RuntimeError``."""
         self._closed = True
-        if self._dispatcher is not None:
-            self._queue.put(_SHUTDOWN)
-            if wait:
-                self._dispatcher.join(timeout=10.0)
-        self._pool.shutdown(wait=wait)
+        self._stop.set()
+        self._ticker.join(timeout=10.0)
 
     def __enter__(self) -> "SchedulerService":
         return self
@@ -592,7 +560,7 @@ class SchedulerService:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # dispatcher
+    # request path
     # ------------------------------------------------------------------ #
     def _maybe_purge(self) -> None:
         """Eagerly drop expired cache entries once per ``purge_interval``."""
@@ -603,127 +571,84 @@ class SchedulerService:
             self._next_purge = now + self.purge_interval
             self.cache.purge_expired()
 
-    def _dispatch_loop(self) -> None:
+    def _tick_loop(self) -> None:
         while True:
             self._maybe_purge()
             self._maybe_sample()
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            if first is _SHUTDOWN:
+            if self._stop.wait(0.1):
                 return
-            batch = [first]
-            deadline = time.monotonic() + self.batch_wait
-            while len(batch) < self.batch_size:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                if item is _SHUTDOWN:
-                    self._handle_batch(batch)
-                    return
-                batch.append(item)
-            self._handle_batch(batch)
 
-    def _handle_batch(self, batch: list[_Pending]) -> None:
-        """Serve one micro-batch: group by key, answer hits, fan misses out.
-
-        Duplicate keys inside the batch collapse into a single computation
-        whose result resolves every waiter (and seeds the cache for later
-        replays) — the amortisation that makes batching worthwhile for a
-        combinatorial kernel with repeating inputs.
-        """
-        with self._lock:
-            self._batches += 1
-        groups: dict[tuple, list[_Pending]] = {}
-        for item in batch:
-            groups.setdefault(item.key, []).append(item)
-        for key, group in groups.items():
-            probe_start = time.perf_counter()
-            cached = self.cache.get(key)
-            probe_end = time.perf_counter()
-            for item in group:
-                if item.trace is not None:
-                    # Queue wait ends when the dispatcher reaches this
-                    # group; the cache probe follows immediately.
-                    item.trace.record_span(
-                        SPAN_QUEUE_WAIT, item.enqueued, probe_start
-                    )
-                    item.trace.record_span(
-                        SPAN_CACHE_LOOKUP,
-                        probe_start,
-                        probe_end,
-                        hit=cached is not MISS,
-                    )
-            if cached is not MISS:
-                for item in group:
-                    self._resolve(item, cached, cache_hit=True)
-                continue
-            if len(group) > 1:
-                with self._lock:
-                    self._deduped += len(group) - 1
-            head = group[0].request
-            submitted = time.perf_counter()
-            try:
-                future = self._pool.submit(
-                    compute_response,
-                    head.instance,
-                    head.algorithm,
-                    head.params,
-                    head.validate,
-                )
-            except Exception as exc:  # pool already shut down, etc.
-                self._fail(group, exc)
-                continue
-            future.add_done_callback(
-                lambda f, key=key, group=group, submitted=submitted: (
-                    self._on_computed(key, group, f, submitted)
-                )
-            )
-
-    def _on_computed(
+    def _lookup_or_compute(
         self,
+        request: ScheduleRequest,
         key: tuple,
-        group: list[_Pending],
-        future: Future,
-        submitted: float,
-    ) -> None:
-        computed = time.perf_counter()
-        try:
-            payload = future.result()
-        except Exception as exc:
-            self._fail(group, exc)
-            return
-        self.cache.put(key, payload)
-        for item in group:
-            if item.trace is not None:
-                item.trace.record_span(
-                    SPAN_BATCH_COMPUTE,
-                    submitted,
-                    computed,
-                    group_size=len(group),
+        trace: Trace | None,
+        timeout: float | None,
+    ) -> tuple[dict, bool]:
+        """``(payload, cache_hit)`` for one admitted request.
+
+        A request whose key is already being computed joins that
+        computation without a counted lookup.  Otherwise the counted lookup
+        runs in the same critical section as the leader's removal of its
+        entry (which follows its ``cache.put``), so a miss either joins the
+        running computation or finds its result cached — the same key is
+        never computed twice at once.
+        """
+        probe_start = time.perf_counter()
+        with self._lock:
+            flight = self._inflight.get(key)
+            leader = flight is None
+            cached = self.cache.get(key) if leader else MISS
+            if cached is MISS:
+                if leader:
+                    flight = self._inflight[key] = _Flight()
+                else:
+                    self._deduped += 1
+                flight.waiters += 1
+        if trace is not None:
+            trace.record_span(
+                SPAN_CACHE_LOOKUP, probe_start, time.perf_counter(),
+                hit=cached is not MISS,
+            )
+        if cached is not MISS:
+            return cached, True
+        if not leader:
+            waited = time.perf_counter()
+            if not flight.done.wait(timeout):
+                raise TimeoutError("identical computation still running")
+            if trace is not None:
+                trace.record_span(
+                    SPAN_BATCH_COMPUTE, waited, time.perf_counter(),
+                    group_size=flight.waiters,
                 )
-            self._resolve(item, payload, cache_hit=False)
-
-    def _resolve(self, item: _Pending, payload: dict, *, cache_hit: bool) -> None:
-        elapsed_ms = (time.perf_counter() - item.enqueued) * 1e3
-        with self._lock:
-            self._pending -= 1
-            self.latency.observe(elapsed_ms)
-        response = dict(payload)  # shallow: "result" is shared and read-only
-        response["cache_hit"] = cache_hit
-        response["elapsed_ms"] = elapsed_ms
-        item.future.set_result(response)
-
-    def _fail(self, group: list[_Pending], exc: BaseException) -> None:
-        with self._lock:
-            self._pending -= len(group)
-        for item in group:
-            item.future.set_exception(exc)
+            if flight.error is not None:
+                raise flight.error
+            return flight.payload, False
+        queued = time.perf_counter()
+        try:
+            if not self._slots.acquire(timeout=timeout):
+                raise TimeoutError("no compute slot became free")
+            try:
+                started = time.perf_counter()
+                flight.payload = compute_response(
+                    request.instance, request.algorithm, request.params,
+                    request.validate,
+                )
+                computed = time.perf_counter()
+            finally:
+                self._slots.release()
+            # Cached before the in-flight entry goes (see the docstring).
+            self.cache.put(key, flight.payload)
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._lock:
+                del self._inflight[key]
+            flight.done.set()
+        if trace is not None:
+            trace.record_span(SPAN_QUEUE_WAIT, queued, started)
+            trace.record_span(
+                SPAN_BATCH_COMPUTE, started, computed, group_size=flight.waiters
+            )
+        return flight.payload, False

@@ -23,8 +23,6 @@ response itself, keeping this module the single source of truth.
 
 from __future__ import annotations
 
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-
 from ...exceptions import ModelError, ServiceOverloadedError
 from .app import MAX_BODY_BYTES, Response
 
@@ -37,11 +35,10 @@ def map_exception(exc: BaseException) -> Response:
         return Response.json(400, {"error": str(exc)})
     if isinstance(exc, ServiceOverloadedError):
         return Response.json(503, {"error": str(exc)})
-    # Distinct classes on Python 3.10, aliases from 3.11 on.
-    if isinstance(exc, (TimeoutError, FuturesTimeoutError)):
+    if isinstance(exc, TimeoutError):
         return Response.json(504, {"error": "scheduling request timed out"})
     # Anything unexpected (a user-registered scheduler raising a
-    # non-ReproError, submit() during shutdown, ...) must still come back
+    # non-ReproError, schedule() after close, ...) must still come back
     # as the documented 500 instead of a reset socket.
     return Response.json(500, {"error": f"{type(exc).__name__}: {exc}"})
 

@@ -12,10 +12,12 @@ Endpoints:
 
 ``POST /schedule``
     Body: ``{"algorithm", "instance" | "generate", "params", "validate"}``
-    (see :func:`repro.service.core.request_from_payload`).  Returns the
-    response payload of :func:`repro.service.core.compute_response` plus
+    (see :func:`repro.service.core.request_from_payload`), answered on the
+    connection's own thread by :meth:`SchedulerService.schedule`.  Returns
+    the response payload of :func:`repro.service.core.compute_response` plus
     ``"cache_hit"`` and ``"elapsed_ms"``.  Malformed input → 400; service
-    backpressure → 503; internal scheduling failures → 500.
+    backpressure → 503; a wait past ``request_timeout`` → 504; internal
+    scheduling failures → 500.
 ``POST /replay``
     Online replay, streamed: epoch-reschedule an arrival trace and return
     a chunked ``application/x-ndjson`` stream — one ``{"epoch": ...}``
@@ -175,8 +177,8 @@ class DaemonApp(App):
         Only active with ``trust_fast_headers`` (shard workers behind the
         cluster router).  The router already parsed and fingerprinted the
         payload, so the full cache key travels in headers and a hit skips
-        body parsing, fingerprinting and the dispatcher queue entirely.  On
-        a miss the caller falls through to the normal pipeline.
+        body parsing and fingerprinting entirely.  On a miss the caller
+        falls through to the normal pipeline.
         """
         if not self.trust_fast_headers:
             return None
@@ -229,8 +231,8 @@ class DaemonApp(App):
             trace.record_span(SPAN_FINGERPRINT, parsed, time.perf_counter())
         else:
             sched_request = request_from_payload(self.read_json_body(request))
-        response = service.submit(sched_request, trace=trace).result(
-            timeout=self.request_timeout
+        response = service.schedule(
+            sched_request, trace=trace, timeout=self.request_timeout
         )
         return self._finish_schedule(response, trace)
 
@@ -245,8 +247,8 @@ class DaemonApp(App):
         final line is the complete legacy response document.  Per-epoch
         batch plans are memoised in the service's
         :class:`~repro.online.plancache.PlanCache`, so repeated and
-        overlapping traces skip the dichotomic search.  The micro-batching
-        ``/schedule`` pipeline and its result cache are untouched.
+        overlapping traces skip the dichotomic search.  The ``/schedule``
+        result cache is untouched.
         """
         # Local import: only /replay needs the online subsystem — keep the
         # serving frontend's module dependency graph decoupled from it.
@@ -298,8 +300,7 @@ def start_background_server(
 
     ``port=0`` picks an ephemeral port; ``app_kwargs`` go to
     :class:`DaemonApp` and ``server.app.service`` is the service.  Used by
-    the self-hosted load-test mode, the CLI tests and the benchmarks.  Stop
-    it with ``server.close()``.
+    the tests and the benchmarks.  Stop it with ``server.close()``.
     """
     app = DaemonApp(service, **app_kwargs)
     server = ThreadedTransport((host, port), app, verbose=app.verbose)

@@ -223,6 +223,34 @@ class TestServe:
         assert codes == [0]
 
 
+@pytest.mark.parametrize("shards", ["1", "2"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-pending", "0", "max_pending must be >= 1"),
+        ("--sample-interval", "-1", "sample interval must be positive"),
+        ("--cache-capacity", "0", "cache capacity must be >= 1"),
+        ("--cache-ttl", "-1", "ttl must be positive"),
+        ("--workers", "-2", "workers must be >= 1"),
+    ],
+)
+def test_serve_rejects_bad_numbers_before_binding(
+    tmp_path, capsys, shards, flag, value, message
+):
+    """One line and exit status 2, checked before any socket or shard."""
+    ready = tmp_path / "ready"
+    code = main(
+        ["serve", "--port", "0", "--shards", shards, "--ready-file", str(ready),
+         flag, value]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("repro serve: ") and message in line
+    assert not ready.exists()
+
+
 class TestServeCluster:
     def test_sharded_serve_round_trip_and_clean_shutdown(self, tmp_path):
         """Boot `serve --shards 2`, replay an instance through the router."""

@@ -211,9 +211,7 @@ class TestTraceStore:
 # --------------------------------------------------------------------------- #
 class TestServiceTelemetryBounds:
     def test_sustained_traffic_holds_telemetry_memory_constant(self):
-        service = SchedulerService(
-            workers=2, batch_size=8, trace_capacity=16, trace_seed=1
-        )
+        service = SchedulerService(workers=2, trace_capacity=16, trace_seed=1)
         try:
             payload = {
                 "generate": {
@@ -224,7 +222,7 @@ class TestServiceTelemetryBounds:
             for _ in range(200):
                 request = request_from_payload(payload)
                 trace = service.tracer.start()
-                service.submit(request, trace=trace).result(timeout=60)
+                service.schedule(request, trace=trace, timeout=60)
                 service.traces.add(trace.finish())
             metrics = service.metrics()
             # Latency telemetry is a fixed histogram, not a growing list...
@@ -249,7 +247,7 @@ class TestServiceTelemetryBounds:
                     },
                 }
             )
-            service.submit(request).result(timeout=60)
+            service.schedule(request, timeout=60)
             metrics = service.metrics()
             assert metrics["traces"]["enabled"] is False
             assert metrics["traces"]["stored"] == 0
@@ -293,7 +291,7 @@ class TestPrometheusRendering:
                     },
                 }
             )
-            service.submit(request).result(timeout=60)
+            service.schedule(request, timeout=60)
             text = render_service_metrics(service.metrics())
         finally:
             service.close()

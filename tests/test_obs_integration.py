@@ -63,8 +63,8 @@ class TestClusterTracePropagation:
         assert spans[shard_component] == [
             "parse",
             "fingerprint",
-            "queue_wait",
             "cache_lookup",
+            "queue_wait",
             "batch_compute",
             "serialize",
         ]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -58,6 +62,14 @@ class TestPublicAPI:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
+
+    def test_setup_py_metadata_matches_the_package(self):
+        root = Path(__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out == ["repro", repro.__version__]
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import queue
+import threading
 import time
 
 import pytest
@@ -300,49 +300,184 @@ class TestServiceCache:
 
     def test_purge_interval_validation(self):
         with pytest.raises(ValueError):
-            SchedulerService(purge_interval=0.0, autostart=False)
+            SchedulerService(purge_interval=0.0)
 
 
 # --------------------------------------------------------------------------- #
-# micro-batching & backpressure
+# single-flight misses & backpressure
 # --------------------------------------------------------------------------- #
-class TestBatchingAndBackpressure:
-    def test_batch_dedupes_identical_requests(self, small_instance):
-        service = SchedulerService(workers=2, autostart=False)
+class GatedScheduler:
+    """``sequential`` behind a gate: each call blocks until the test opens it.
+
+    ``calls`` counts scheduler runs (one per ``compute_response``);
+    ``entered`` is set once a run is blocked on the gate; ``failures`` makes
+    that many first runs raise after the gate opens.
+    """
+
+    name = "gated"
+    gate = threading.Event()
+    entered = threading.Event()
+    calls = 0
+    failures = 0
+
+    def schedule(self, instance):
+        cls = type(self)
+        cls.calls += 1
+        cls.entered.set()
+        assert cls.gate.wait(30), "test never opened the gate"
+        if cls.failures:
+            cls.failures -= 1
+            raise RuntimeError("scheduler blew up")
+        return make_scheduler("sequential").schedule(instance)
+
+
+@pytest.fixture
+def gated(monkeypatch):
+    monkeypatch.setattr(GatedScheduler, "gate", threading.Event())
+    monkeypatch.setattr(GatedScheduler, "entered", threading.Event())
+    monkeypatch.setattr(GatedScheduler, "calls", 0)
+    monkeypatch.setattr(GatedScheduler, "failures", 0)
+    monkeypatch.setitem(ALGORITHMS, "gated", GatedScheduler)
+    yield GatedScheduler
+    GatedScheduler.gate.set()  # never leave a worker thread blocked
+
+
+def _in_thread(fn, *args, **kwargs) -> tuple[threading.Thread, list]:
+    """Run ``fn`` on a thread; the list receives its result or exception."""
+    out: list = []
+
+    def run():
         try:
-            request = ScheduleRequest(instance=small_instance)
-            futures = [service.submit(request) for _ in range(4)]
-            batch = [service._queue.get_nowait() for _ in range(4)]
-            with pytest.raises(queue.Empty):
-                service._queue.get_nowait()
-            service._handle_batch(batch)
-            results = [f.result(timeout=60) for f in futures]
+            out.append(fn(*args, **kwargs))
+        except BaseException as exc:  # surfaced by the test's assertions
+            out.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, out
+
+
+def _wait_for(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.002)
+
+
+class TestBatchingAndBackpressure:
+    def test_identical_requests_5ms_apart_compute_once(self, small_instance, gated):
+        """A miss joins the running computation, not only a same-batch twin."""
+        with SchedulerService(workers=2) as service:
+            request = ScheduleRequest(instance=small_instance, algorithm="gated")
+            t1, out1 = _in_thread(service.schedule, request)
+            assert gated.entered.wait(30)
+            time.sleep(0.005)
+            t2, out2 = _in_thread(service.schedule, request)
+            _wait_for(lambda: service.metrics()["queue_depth"] == 2)
+            gated.gate.set()
+            t1.join(30)
+            t2.join(30)
+            metrics = service.metrics()
+        assert gated.calls == 1
+        assert metrics["cache"]["misses"] == 1
+        assert metrics["deduped_in_batch"] == 1
+        assert out1[0]["cache_hit"] is False and out2[0]["cache_hit"] is False
+        assert canonical_json(out1[0]["result"]) == canonical_json(out2[0]["result"])
+
+    def test_concurrent_identical_requests_compute_once(self, small_instance, gated):
+        with SchedulerService(workers=2) as service:
+            request = ScheduleRequest(instance=small_instance, algorithm="gated")
+            barrier = threading.Barrier(4)
+
+            def one():
+                barrier.wait(30)
+                return service.schedule(request)
+
+            runs = [_in_thread(one) for _ in range(4)]
+            _wait_for(lambda: service.metrics()["queue_depth"] == 4)
+            gated.gate.set()
+            for thread, _ in runs:
+                thread.join(30)
             assert service.cache.stats.misses == 1 and service.cache.stats.hits == 0
             assert service.metrics()["deduped_in_batch"] == 3
-            payloads = {canonical_json(r["result"]) for r in results}
-            assert len(payloads) == 1
-        finally:
-            service.close()
+        assert gated.calls == 1
+        payloads = {canonical_json(out[0]["result"]) for _, out in runs}
+        assert len(payloads) == 1
 
-    def test_backpressure_rejects_and_counts(self, small_instance, monkeypatch):
-        class SleepyScheduler:
-            name = "sleepy"
+    def test_hit_does_not_wait_behind_a_miss(self, small_instance, gated):
+        other = make_workload("uniform", 4, 6, seed=3)
+        with SchedulerService(workers=1) as service:
+            warm = ScheduleRequest(instance=small_instance, algorithm="sequential")
+            service.schedule(warm)
+            miss, out = _in_thread(
+                service.schedule, ScheduleRequest(instance=other, algorithm="gated")
+            )
+            assert gated.entered.wait(30)
+            # The one compute slot is taken; the hit must not need it.
+            assert service.schedule(warm)["cache_hit"] is True
+            assert miss.is_alive()
+            gated.gate.set()
+            miss.join(30)
+        assert out[0]["result"]["makespan"] > 0
 
-            def schedule(self, instance):
-                time.sleep(0.3)
-                return make_scheduler("sequential").schedule(instance)
+    def test_failed_computation_caches_nothing(self, small_instance, gated):
+        gated.failures = 1
+        with SchedulerService(workers=2) as service:
+            request = ScheduleRequest(instance=small_instance, algorithm="gated")
+            t1, out1 = _in_thread(service.schedule, request)
+            assert gated.entered.wait(30)
+            t2, out2 = _in_thread(service.schedule, request)
+            _wait_for(lambda: service.metrics()["queue_depth"] == 2)
+            gated.gate.set()
+            t1.join(30)
+            t2.join(30)
+            # Both waiters see the one failure; nothing is cached or left over.
+            assert isinstance(out1[0], RuntimeError)
+            assert isinstance(out2[0], RuntimeError)
+            assert len(service.cache) == 0
+            assert service._inflight == {}
+            assert service.metrics()["queue_depth"] == 0
+            retry = service.schedule(request)
+            assert retry["cache_hit"] is False
+            assert service.cache.stats.misses == 2
+        direct = make_scheduler("sequential").schedule(small_instance)
+        assert retry["result"]["makespan"] == direct.makespan()
+        assert gated.calls == 2
 
-        monkeypatch.setitem(ALGORITHMS, "sleepy", SleepyScheduler)
+    def test_waits_time_out(self, small_instance, gated):
+        other = make_workload("uniform", 4, 6, seed=3)
+        with SchedulerService(workers=1) as service:
+            request = ScheduleRequest(instance=small_instance, algorithm="gated")
+            leader, out = _in_thread(service.schedule, request)
+            assert gated.entered.wait(30)
+            with pytest.raises(TimeoutError):  # waiting for the busy slot
+                service.schedule(ScheduleRequest(instance=other), timeout=0.05)
+            with pytest.raises(TimeoutError):  # waiting for the identical miss
+                service.schedule(request, timeout=0.05)
+            gated.gate.set()
+            leader.join(30)
+            assert out[0]["result"]["makespan"] > 0
+            assert service.metrics()["queue_depth"] == 0
+            assert service.schedule(ScheduleRequest(instance=other))["cache_hit"] is False
+
+    def test_backpressure_rejects_and_counts(self, small_instance, gated):
         other = make_workload("uniform", 4, 6, seed=3)
         with SchedulerService(workers=1, max_pending=2) as service:
-            f1 = service.submit(
-                ScheduleRequest(instance=small_instance, algorithm="sleepy")
+            t1, out1 = _in_thread(
+                service.schedule,
+                ScheduleRequest(instance=small_instance, algorithm="gated"),
             )
-            f2 = service.submit(ScheduleRequest(instance=other, algorithm="sleepy"))
+            t2, out2 = _in_thread(
+                service.schedule, ScheduleRequest(instance=other, algorithm="gated")
+            )
+            _wait_for(lambda: service.metrics()["queue_depth"] == 2)
             with pytest.raises(ServiceOverloadedError):
-                service.submit(ScheduleRequest(instance=small_instance))
-            assert f1.result(timeout=60)["result"]["makespan"] > 0
-            assert f2.result(timeout=60)["result"]["makespan"] > 0
+                service.schedule(ScheduleRequest(instance=small_instance))
+            gated.gate.set()
+            t1.join(30)
+            t2.join(30)
+            assert out1[0]["result"]["makespan"] > 0
+            assert out2[0]["result"]["makespan"] > 0
             metrics = service.metrics()
         assert metrics["rejections"] == 1
         assert metrics["requests_total"] == 2
@@ -350,8 +485,9 @@ class TestBatchingAndBackpressure:
     def test_closed_service_rejects(self, small_instance):
         service = SchedulerService(workers=1)
         service.close()
+        assert not service._ticker.is_alive()
         with pytest.raises(RuntimeError):
-            service.submit(ScheduleRequest(instance=small_instance))
+            service.schedule(ScheduleRequest(instance=small_instance))
 
     def test_bad_request_does_not_leak_backpressure_slots(self, small_instance):
         """A request whose cache key cannot be computed must not eat a slot."""
@@ -359,7 +495,7 @@ class TestBatchingAndBackpressure:
             bad = ScheduleRequest(instance=small_instance.as_dict())  # no fingerprint
             for _ in range(5):
                 with pytest.raises(ModelError):
-                    service.submit(bad)
+                    service.schedule(bad)
             assert service.metrics()["queue_depth"] == 0
             # The service still serves normal traffic afterwards.
             response = service.schedule(ScheduleRequest(instance=small_instance))
@@ -417,6 +553,24 @@ class TestHTTPFrontend:
         with pytest.raises(ServiceHTTPError) as err:
             client.schedule(small_instance, algorithm="nope")
         assert err.value.status == 400
+
+    def test_wait_past_request_timeout_is_504(self, small_instance, gated):
+        server, _ = start_background_server(request_timeout=0.05)
+        try:
+            host, port = server.server_address[:2]
+            url = f"http://{host}:{port}"
+            leader, out = _in_thread(
+                ServiceClient(url, retries=0).schedule, small_instance, algorithm="gated"
+            )
+            assert gated.entered.wait(30)
+            with pytest.raises(ServiceHTTPError) as err:
+                ServiceClient(url, retries=0).schedule(small_instance, algorithm="gated")
+            assert err.value.status == 504
+            gated.gate.set()
+            leader.join(30)
+            assert out[0]["cache_hit"] is False
+        finally:
+            server.close()
 
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServiceHTTPError) as err:
