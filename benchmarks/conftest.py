@@ -7,9 +7,12 @@ document the practical cost of each component (experiment EXP-B).
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-disable -q
 
-Add ``-s`` to also see the regenerated tables and ASCII figures.
+The explicit ``bench_*.py`` paths matter: pytest's default ``python_files``
+pattern does not match them, so ``pytest benchmarks/`` collects nothing.
+Drop ``--benchmark-disable`` to also time each artefact, and add ``-s`` to
+see the regenerated tables and ASCII figures.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ trace of guesses for the experiment harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Protocol, runtime_checkable
 
 from ..exceptions import SearchError
@@ -81,6 +83,13 @@ class DualSearchResult:
         return len(self.trace)
 
 
+def check_eps(eps: float) -> float:
+    """Return ``eps`` if it is a finite positive number, else raise ``ValueError``."""
+    if not isinstance(eps, Real) or isinstance(eps, bool) or not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite positive number, got {eps!r}")
+    return eps
+
+
 def dual_search(
     dual: DualApproximation,
     instance: Instance,
@@ -116,8 +125,7 @@ def dual_search(
         If no guess in the interval is accepted (which indicates a broken
         dual algorithm, since the upper bound is always feasible).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     lb = lower_bound if lower_bound is not None else max(
         trivial_lower_bound(instance), canonical_area_lower_bound(instance)
     )

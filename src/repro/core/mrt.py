@@ -47,7 +47,7 @@ from ..model.schedule import Schedule
 from ..model.task import EPS
 from ..scheduler import Scheduler
 from .canonical_list import MU_STAR, canonical_list_schedule
-from .dual import DualSearchResult, dual_search
+from .dual import DualSearchResult, check_eps, dual_search
 from .malleable_list import MalleableListDual, malleable_list_guarantee
 from .partition import LAMBDA_STAR, build_partition
 from .two_shelves import (
@@ -220,7 +220,7 @@ class MRTScheduler(Scheduler):
     ) -> None:
         self.lam = lam
         self.mu = mu
-        self.eps = eps
+        self.eps = check_eps(eps)
         self.knapsack_method = knapsack_method
         self.fptas_eps = fptas_eps
         self.last_result: MRTResult | None = None

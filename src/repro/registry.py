@@ -46,8 +46,8 @@ def make_scheduler(name: str, params: dict | None = None) -> Scheduler:
     ``params`` are passed to the factory as keyword arguments (e.g.
     ``{"eps": 1e-2}`` for ``mrt``).  Raises
     :class:`~repro.exceptions.ModelError` on an unknown name or on keyword
-    arguments the factory rejects, so service callers get a clean 400 instead
-    of a stack trace.
+    arguments or values the factory rejects, so service callers get a clean
+    400 instead of a stack trace.
     """
     factory = ALGORITHMS.get(name)
     if factory is None:
@@ -56,7 +56,7 @@ def make_scheduler(name: str, params: dict | None = None) -> Scheduler:
         )
     try:
         return factory(**(params or {}))  # type: ignore[operator]
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelError(f"invalid parameters for algorithm {name!r}: {exc}") from exc
 
 

@@ -1,7 +1,8 @@
 """Minimal stdlib HTTP client for the scheduling service.
 
-Used by the tests and the benchmark scripts — anything that talks to a
-running ``python -m repro serve``.  Only ``http.client`` + ``json``; no
+Used by the tests, ``python -m repro replay --url`` and the service
+throughput benchmark — anything that talks to a running
+``python -m repro serve``.  Only ``http.client`` + ``json``; no
 third-party dependencies.
 
 Connections are persistent (HTTP/1.1 keep-alive, one per calling thread,

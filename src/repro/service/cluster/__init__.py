@@ -21,7 +21,7 @@ needed (keys are partitioned), entries age out via TTL + the periodic
 purge, and ``POST /purge`` is the explicit eviction message.
 
 Entry points: ``python -m repro serve --shards N`` (CLI) or
-:func:`start_cluster` (in-process, used by tests and benchmarks).
+:func:`start_cluster` (in-process, used by the tests).
 """
 
 from .ring import KEY_PREFIX_LEN, ShardRing

@@ -816,8 +816,7 @@ def start_cluster(
 
     The cluster equivalent of
     :func:`~repro.service.server.start_background_server`; used by the
-    tests and the streaming-replay benchmark.  Stop it with
-    :meth:`ClusterHandle.close`.
+    tests.  Stop it with :meth:`ClusterHandle.close`.
     """
     supervisor = ClusterSupervisor(
         shards, spec=spec, backend=backend, vnodes=vnodes, respawn=respawn

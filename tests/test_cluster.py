@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ClusterError
-from repro.registry import make_scheduler
+from repro.registry import ONLINE_KERNELS, make_scheduler
 from repro.service import (
     ReplayStreamError,
     ServiceClient,
@@ -25,6 +25,7 @@ from repro.service import (
 from repro.service.cluster import KEY_PREFIX_LEN
 from repro.service.cluster.router import routing_info
 from repro.workloads.generators import make_workload
+from test_replay_streaming import scrub
 
 
 def _keys(count: int, tag: str = "key") -> list[str]:
@@ -206,6 +207,17 @@ class TestClusterEndToEnd:
         replay = cluster_client.schedule(generate=spec)
         assert not first["cache_hit"] and replay["cache_hit"]
         assert canonical_json(first["result"]) == canonical_json(replay["result"])
+
+    def test_replay_rerun_hits_the_shard_plan_cache(self, cluster_client):
+        # The router sends a re-run to the shard that holds its epoch plans.
+        generate = {"pattern": "poisson", "family": "mixed", "tasks": 12,
+                    "procs": 6, "seed": 3}
+        for kernel in sorted(ONLINE_KERNELS):
+            cold = cluster_client.replay(generate=generate, kernel=kernel)
+            hits = cluster_client.metrics()["cluster"]["plan_cache"]["hits"]
+            warm = cluster_client.replay(generate=generate, kernel=kernel)
+            assert scrub(warm) == scrub(cold)
+            assert cluster_client.metrics()["cluster"]["plan_cache"]["hits"] > hits
 
     def test_malformed_request_is_400_from_owning_shard(self, cluster_client):
         with pytest.raises(ServiceHTTPError) as err:

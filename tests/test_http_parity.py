@@ -3,7 +3,7 @@
 The invariant of the transport/app split, checked over raw sockets:
 
 * **Daemon/router parity** — every shared error path (unknown path, bad
-  query, bad body, disabled shutdown, ...) answers identically from the
+  query, bad body, disabled shutdown, ...) answers the same 4xx from the
   single-process daemon and the cluster router, because both are the same
   ``App`` machinery.  This pins the fix for the historical drift where the
   two frontends disagreed on ``Content-Length: 0`` and duplicated headers
@@ -62,6 +62,17 @@ ERROR_REQUESTS = [
     ("replay-bad-kernel", "POST", "/replay", json.dumps(
         {"generate": {"tasks": 3, "procs": 2}, "kernel": "nope"}
     ).encode()),
+    # A bad eps is rejected when the scheduler is built, so /replay answers
+    # before its stream starts instead of a 200 cut short at the first epoch.
+    *[
+        (f"{path[1:]}-eps-{label}", "POST", path,
+         json.dumps({**work, "params": {"eps": eps}}).encode())
+        for path, work in (
+            ("/schedule", {"instance": TINY_INSTANCE}),
+            ("/replay", {"generate": {"tasks": 3, "procs": 2}}),
+        )
+        for label, eps in (("negative", -1), ("zero", 0), ("string", "x"))
+    ],
     ("purge-not-json", "POST", "/purge", b"not json"),
     ("shutdown-disabled", "POST", "/shutdown", b"{}"),
     ("unknown-method", "PUT", "/healthz", b""),
@@ -146,6 +157,7 @@ class TestDaemonRouterParity:
             audit_structure(f"{which}:{name}", status, headers, payload)
             results[which] = (status, comparable(headers), payload)
         assert results["daemon"] == results["router"]
+        assert 400 <= results["router"][0] < 500, results["router"]
 
     def test_schedule_success_identical_modulo_elapsed(self, daemon_and_router):
         server, cluster = daemon_and_router

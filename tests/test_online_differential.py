@@ -12,7 +12,11 @@ two independent references:
     timeline passes ``simulate_and_check(respect_release=True)``;
 (c) the kernel choice never changes the ``ReplayResult`` field shapes (nor
     the ``POST /replay`` response shape), so clients cannot observe a
-    schema difference between kernels.
+    schema difference between kernels;
+(d) on Poisson / burst / diurnal / Pareto traces (and Poisson batched at
+    a tenth of its arrival span) each kernel's makespan stays within 2x
+    of clairvoyant offline MRT, and the arrival-by-arrival baselines'
+    timelines respect release dates too.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from repro.online import (
     AvailabilityRescheduler,
     EpochRescheduler,
     compute_replay_response,
+    first_fit_replay,
+    online_list_replay,
 )
 from repro.registry import ONLINE_KERNELS, make_rescheduler, make_scheduler
 from repro.sim.validate import simulate_and_check
@@ -193,3 +199,26 @@ class TestShapeConformance:
             assert sum(e.num_tasks for e in result.epochs) == trace.num_tasks
             for epoch in result.epochs:
                 assert epoch.makespan == pytest.approx(epoch.end - epoch.start)
+
+
+class TestClairvoyantRatio:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "pattern,batched",
+        [("poisson", False), ("burst", False), ("diurnal", False),
+         ("pareto", False), ("poisson", True)],
+        ids=["poisson", "burst", "diurnal", "pareto", "poisson-quantum"],
+    )
+    def test_kernels_within_2x_of_clairvoyant_offline(self, pattern, batched, seed):
+        """(d) Offline MRT gets every task up front with releases erased, so
+        its makespan bounds what a release-respecting replay can reach."""
+        trace = make_trace(pattern, "mixed", 14, 8, seed=seed)
+        span = float(trace.release_times.max())
+        quantum = span / 10.0 if batched and span > 0 else None
+        offline = make_scheduler("mrt").schedule(trace).makespan()
+        for kernel in ONLINE_KERNELS:
+            result = make_rescheduler(kernel, "mrt", quantum=quantum).replay(trace)
+            simulate_and_check(result.schedule, respect_release=True)
+            assert result.makespan <= 2.0 * offline, (kernel, result.makespan / offline)
+        for replay in (online_list_replay, first_fit_replay):
+            simulate_and_check(replay(trace), respect_release=True)

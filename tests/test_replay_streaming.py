@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,28 @@ class TestPlanCacheByteIdentity:
             runs[1], sort_keys=True
         )
         assert cache.stats.misses > 0 and cache.stats.hits >= cache.stats.misses
+
+    def test_warm_replay_is_1_2x_faster_than_cold(self):
+        """A pass over traces whose epoch plans are already cached runs
+        >= 1.2x faster than the pass that filled the cache (best of 3;
+        poisson mixed 32x8, seeds 0-2, both kernels)."""
+        traces = [
+            make_trace("poisson", "mixed", 32, 8, seed=seed) for seed in range(3)
+        ]
+
+        def pass_seconds(cache: PlanCache) -> float:
+            start = time.perf_counter()
+            for trace in traces:
+                for kernel in sorted(ONLINE_KERNELS):
+                    make_rescheduler(kernel, "mrt", plan_cache=cache).replay(trace)
+            return time.perf_counter() - start
+
+        cold = warm = float("inf")
+        for _ in range(3):
+            cache = PlanCache()
+            cold = min(cold, pass_seconds(cache))
+            warm = min(warm, pass_seconds(cache))
+        assert cold / warm >= 1.2, f"warm replay only {cold / warm:.2f}x faster"
 
     def test_fallback_adopted_availability_path_stays_byte_identical(self):
         """(b) Seeds where the no-regret guard adopts the barrier timeline:
