@@ -53,19 +53,29 @@ __all__ = [
 MU_STAR: float = math.sqrt(3.0) / 2.0
 
 
-def canonical_list_schedule(instance: Instance, guess: float) -> Schedule | None:
+def canonical_list_schedule(
+    instance: Instance, guess: float, *, memo: dict[bytes, Schedule] | None = None
+) -> Schedule | None:
     """Run the canonical list algorithm for the guess ``d``.
 
     Returns ``None`` when some task cannot meet the deadline on ``m``
     processors (γ_i(d) does not exist) — a sound infeasibility certificate.
     The produced schedule is always valid; its *length* is only guaranteed to
     be ≤ 2μ·d under the hypotheses of Theorem 2, which the caller must check.
+
+    The schedule depends on ``d`` only through γ(d), which is piecewise
+    constant in ``d``.  ``memo`` maps ``γ(d).procs.tobytes()`` to the schedule
+    already built for that allotment of ``instance``; a repeated allotment
+    returns that same validated schedule instead of building it again.
     """
     if guess <= 0:
         return None
     alloc = canonical_allotment(instance, guess)
     if alloc is None:
         return None
+    key = alloc.procs.tobytes()
+    if memo is not None and key in memo:
+        return memo[key]
     allotment = Allotment(instance, alloc.procs)
     order = sorted(
         range(instance.num_tasks), key=lambda i: (-alloc.times[i], i)
@@ -74,6 +84,8 @@ def canonical_list_schedule(instance: Instance, guess: float) -> Schedule | None
         allotment, order, algorithm="canonical-list"
     )
     schedule.validate()
+    if memo is not None:
+        memo[key] = schedule
     return schedule
 
 

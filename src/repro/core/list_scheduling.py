@@ -5,9 +5,9 @@ instance by going through the tasks in a priority order and placing each one
 as early as possible on a contiguous block of processors.  This module holds
 that shared machinery:
 
-* :func:`sliding_window_max` — O(m) computation of the earliest start of
-  every contiguous block of a given width over a per-processor availability
-  profile,
+* :func:`sliding_window_max` — the earliest start of every contiguous
+  block of a given width over a per-processor availability profile, by
+  log-doubling ``np.maximum`` over shifted slices,
 * :func:`contiguous_list_schedule` — the list scheduler itself, with the
   paper's tie-breaking convention (leftmost block when starting at time 0,
   rightmost block otherwise, Section 3.2), and
@@ -22,7 +22,6 @@ paper analyses (no backfilling into idle gaps between levels).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,25 +52,23 @@ class ListPlacement:
 def sliding_window_max(values: np.ndarray, width: int) -> np.ndarray:
     """Maximum of every contiguous window of ``width`` entries of ``values``.
 
-    Returns an array of length ``len(values) - width + 1`` where entry ``s``
-    is ``max(values[s : s + width])``.  Runs in O(len(values)) using a
-    monotonic deque, which keeps the overall list scheduler at
-    O(n·m) instead of O(n·m·p).
+    Returns a new float array of length ``len(values) - width + 1`` where
+    entry ``s`` is ``max(values[s : s + width])``.  Sparse-table doubling:
+    after ``k`` steps ``span[s]`` is the maximum of the ``2**k`` entries from
+    ``s``, and two overlapping windows of the largest such size cover every
+    window of ``width``.  That is O(len(values)·log width) work, all in numpy,
+    and exact, since a maximum never rounds.
     """
     n = values.size
     if width < 1 or width > n:
         raise ValueError(f"window width {width} outside 1..{n}")
-    out = np.empty(n - width + 1, dtype=float)
-    dq: deque[int] = deque()
-    for i in range(n):
-        while dq and values[dq[-1]] <= values[i]:
-            dq.pop()
-        dq.append(i)
-        if dq[0] <= i - width:
-            dq.popleft()
-        if i >= width - 1:
-            out[i - width + 1] = values[dq[0]]
-    return out
+    span = np.asarray(values, dtype=float)
+    size = 1
+    while 2 * size <= width:
+        span = np.maximum(span[:-size], span[size:])
+        size *= 2
+    count = n - width + 1
+    return np.maximum(span[:count], span[width - size : width - size + count])
 
 
 def contiguous_list_schedule(

@@ -75,6 +75,17 @@ class MRTDual:
         :func:`repro.core.two_shelves.select_shelf2_subset`.
     fptas_eps:
         Accuracy of the FPTAS when ``knapsack_method="fptas"``.
+
+    Between guesses the dual keeps one memo: the canonical-list schedule
+    built for each distinct canonical allotment γ(d) of the instance it is
+    running on, keyed on ``γ(d).procs.tobytes()``.  γ(d) is piecewise
+    constant in ``d``, so the late guesses of a dichotomic search keep
+    revisiting the same allotment; they get back the schedule built (and
+    validated) the first time.  The memo belongs to one dual and one
+    instance: it is emptied whenever ``run`` gets a different instance
+    object.  :class:`MRTScheduler` builds a fresh dual for every
+    ``schedule`` call, so a memoised schedule never outlives the search
+    that built it and is never shared across calls, threads or callers.
     """
 
     def __init__(
@@ -100,6 +111,8 @@ class MRTDual:
         self.last_branch: str | None = None
         #: μ-area of the last accepted/attempted guess (for experiment EXP-C).
         self.last_mu_area: float | None = None
+        self._memo_instance: Instance | None = None
+        self._canonical_memo: dict[bytes, Schedule] = {}
 
     # ------------------------------------------------------------------ #
     def _within_target(self, schedule: Schedule | None, guess: float) -> bool:
@@ -112,6 +125,9 @@ class MRTDual:
         """Return a schedule of length at most ``√3·guess`` or ``None``."""
         self.last_branch = None
         self.last_mu_area = None
+        if instance is not self._memo_instance:
+            self._memo_instance = instance
+            self._canonical_memo = {}
         if guess <= 0:
             return None
         m = instance.num_procs
@@ -156,7 +172,9 @@ class MRTDual:
         if branch == "malleable-list":
             return malleable.run(instance, guess)
         if branch == "canonical-list":
-            return canonical_list_schedule(instance, guess)
+            return canonical_list_schedule(
+                instance, guess, memo=self._canonical_memo
+            )
         if branch == "two-shelves":
             part = build_partition(instance, guess, self.lam)
             if part is None:

@@ -135,8 +135,9 @@ class EpochReport:
         epoch's batch (the dichotomic search, not the replay bookkeeping).
     engine:
         Allotment-engine memo statistics of the batch: ``memo_hits``,
-        ``memo_misses`` and ``guesses`` (distinct γ(d) evaluations, i.e.
-        hits + misses).  All zero for kernels that never probe γ.
+        ``memo_misses`` (the distinct deadlines whose γ(d) was computed) and
+        ``guesses`` (every γ(d) probe, i.e. hits + misses).  All zero for
+        kernels that never probe γ.
     """
 
     index: int

@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import repro.core.canonical_list as canonical_list
+import repro.core.mrt as mrt
 from repro import (
     MRTScheduler,
     best_lower_bound,
@@ -14,14 +17,21 @@ from repro import (
     rigid_heavy_instance,
     uniform_instance,
 )
+from repro.core.canonical_list import MU_STAR
 from repro.core.mrt import MRTDual
 from repro.baselines.optimal import optimal_schedule
+from repro.core.properties import canonical_allotment
 from repro.lower_bounds import canonical_area_lower_bound
+from repro.model.instance import Instance
+from repro.online.epoch import EpochRescheduler
 from repro.workloads.adversarial import (
     fragmentation_instance,
     lpt_worst_case_instance,
+    property3_stress_instances,
     shelf_overflow_instance,
 )
+from repro.workloads.arrivals import make_trace
+from test_property_based import instances
 
 SQRT3 = math.sqrt(3.0)
 
@@ -145,3 +155,101 @@ class TestMRTScheduler:
         a = MRTScheduler().schedule(inst).makespan()
         b = MRTScheduler().schedule(inst).makespan()
         assert a == pytest.approx(b)
+
+
+# --------------------------------------------------------------------------- #
+# the per-search canonical-list memo
+# --------------------------------------------------------------------------- #
+#: Fixed seeds of every family in :mod:`repro.workloads.adversarial`.
+ADVERSARIAL = [
+    *property3_stress_instances(8, MU_STAR, trials=2, rng=0),
+    shelf_overflow_instance(16, seed=2),
+    fragmentation_instance(16),
+    lpt_worst_case_instance(8),
+]
+
+
+def assert_search_matches_fresh_duals(inst: Instance) -> None:
+    """Every guess of a memoised search answers what a fresh dual answers."""
+    scheduler = MRTScheduler()
+    schedule = scheduler.schedule(inst)
+    result = scheduler.last_result
+    best_guess, best_makespan = None, math.inf
+    for outcome in result.search.trace:
+        fresh = MRTDual().run(inst, outcome.guess)
+        assert (fresh is not None) == outcome.accepted
+        if fresh is None:
+            continue
+        assert fresh.makespan() == outcome.makespan
+        if outcome.makespan < best_makespan:
+            best_guess, best_makespan = outcome.guess, outcome.makespan
+    if result.branch != "malleable-list-fallback":
+        assert schedule.as_dict() == MRTDual().run(inst, best_guess).as_dict()
+
+
+class TestCanonicalListMemo:
+    @given(inst=instances(max_tasks=6, max_procs=8))
+    @settings(
+        max_examples=40, suppress_health_check=[HealthCheck.too_slow], deadline=None
+    )
+    def test_memoised_search_matches_fresh_duals(self, inst):
+        assert_search_matches_fresh_duals(inst)
+
+    @pytest.mark.parametrize("index", range(len(ADVERSARIAL)))
+    def test_memoised_search_matches_fresh_duals_adversarial(self, index):
+        assert_search_matches_fresh_duals(ADVERSARIAL[index])
+
+    def test_memo_is_reset_for_another_instance(self):
+        first = mixed_instance(12, 8, seed=3)
+        second = Instance.from_dict(first.as_dict())
+        guess = first.upper_bound()
+        assert (
+            canonical_allotment(first, guess).procs.tobytes()
+            == canonical_allotment(second, guess).procs.tobytes()
+        )
+        dual = MRTDual()
+        for inst in (first, second, first):
+            schedule = dual.run(inst, guess)
+            assert dual.last_branch == "canonical-list"
+            assert schedule.instance is inst
+
+    def test_mutating_a_result_leaves_the_next_call_clean(self):
+        inst = mixed_instance(16, 8, seed=5)
+        clean = MRTScheduler().schedule(mixed_instance(16, 8, seed=5)).as_dict()
+        scheduler = MRTScheduler()
+        first = scheduler.schedule(inst)
+        first.add(0, first.makespan(), 0, 1)
+        assert scheduler.schedule(inst).as_dict() == clean
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_list_schedule_per_distinct_allotment(self, seed, monkeypatch):
+        """The canonical-list branch builds each distinct γ(d) once per search."""
+        built = 0
+        seen: list[set[bytes]] = []
+        list_schedule = canonical_list.contiguous_list_schedule
+        branch = mrt.canonical_list_schedule
+        search = mrt.MRTScheduler.schedule
+
+        def counting_list_schedule(*args, **kwargs):
+            nonlocal built
+            built += 1
+            return list_schedule(*args, **kwargs)
+
+        def recording_branch(instance, guess, **kwargs):
+            alloc = canonical_allotment(instance, guess) if guess > 0 else None
+            if alloc is not None:
+                seen[-1].add(alloc.procs.tobytes())
+            return branch(instance, guess, **kwargs)
+
+        def recording_search(self, instance):
+            seen.append(set())
+            return search(self, instance)
+
+        monkeypatch.setattr(canonical_list, "contiguous_list_schedule", counting_list_schedule)
+        monkeypatch.setattr(mrt, "canonical_list_schedule", recording_branch)
+        monkeypatch.setattr(mrt.MRTScheduler, "schedule", recording_search)
+        trace = make_trace("poisson", "mixed", 64, 16, seed=seed)
+        EpochRescheduler().replay(trace)
+        distinct = sum(len(allotments) for allotments in seen)
+        assert distinct > 0
+        assert built == distinct
