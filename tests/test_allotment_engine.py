@@ -329,3 +329,122 @@ class TestParallelDeterminism:
         self.assert_same_records(
             sweep_workloads(**kwargs), sweep_workloads(**kwargs, workers=4)
         )
+
+
+# --------------------------------------------------------------------------- #
+# golden counters: the engine's memo statistics are on the wire (every
+# ``/replay`` epoch frame carries them), so any change to how γ(d) is
+# computed must leave them, and the search that drives them, exactly as is.
+# --------------------------------------------------------------------------- #
+#: seed -> (replay makespan, per epoch: (num_tasks, memo_hits, memo_misses,
+#: guesses, epoch makespan)) for ``make_trace("poisson", "mixed", 64, 16)``.
+REPLAY_GOLDEN = {
+    0: (
+        39.00423139928569,
+        [
+            (1, 7, 5, 12, 0.4552190078029037),
+            (1, 7, 4, 11, 0.20348562759408942),
+            (1, 7, 4, 11, 1.428663444908074),
+            (4, 93, 54, 147, 4.407887158863568),
+            (11, 95, 55, 150, 6.496452386486272),
+            (18, 95, 49, 144, 10.143229050549627),
+            (23, 95, 49, 144, 10.118255900759303),
+            (5, 7, 4, 11, 5.6673070606479055),
+        ],
+    ),
+    1: (
+        27.811011956828008,
+        [
+            (1, 9, 2, 11, 3.3032310481723246),
+            (9, 95, 55, 150, 5.3836513208574175),
+            (21, 95, 49, 144, 7.42402801663066),
+            (32, 95, 49, 144, 10.168275302992914),
+            (1, 9, 2, 11, 1.5318262681746904),
+        ],
+    ),
+    2: (
+        35.340734323429395,
+        [
+            (1, 7, 5, 12, 0.4850566188244845),
+            (1, 7, 5, 12, 0.06653853088674966),
+            (1, 7, 5, 12, 0.1724101972858239),
+            (1, 7, 5, 12, 1.1572428803445722),
+            (5, 93, 54, 147, 3.787555498539978),
+            (11, 95, 49, 144, 4.767548754494067),
+            (14, 7, 5, 12, 7.318840554116826),
+            (29, 95, 49, 144, 16.24234577698465),
+            (1, 7, 4, 11, 0.8196835898392182),
+        ],
+    ),
+}
+
+#: name -> (branch, search length, accepted flags ("A" accept, "r" reject),
+#: engine hits, engine misses, makespan, best guess, lower bound).
+MRT_GOLDEN = {
+    "mixed": (
+        "canonical-list", 16, "ArAAAAAAAAAAAAAA", 95, 49,
+        9.52646845382975, 8.885087989674561, 8.877864165906718,
+    ),
+    "heavy-tailed": (
+        "canonical-list", 16, "ArAAAAAAAAAAAAAA", 95, 49,
+        6.258326873184382, 6.083602546288425, 6.0796234436856675,
+    ),
+    "uniform": (
+        "canonical-list", 15, "ArAAAAAAAAAAAAA", 93, 48,
+        7.647603162136561, 6.910169419607097, 6.904462757879249,
+    ),
+    "shelf-overflow": (
+        "two-shelves-trivial", 2, "AA", 7, 5,
+        2.652066233079024, 1.565211433211857, 1.565211433211857,
+    ),
+}
+
+
+def golden_instance(name: str) -> Instance:
+    from repro.workloads.adversarial import shelf_overflow_instance
+
+    return {
+        "mixed": lambda: make_workload("mixed", 24, 16, seed=0),
+        "heavy-tailed": lambda: make_workload("heavy-tailed", 20, 12, seed=1),
+        "uniform": lambda: make_workload("uniform", 12, 8, seed=3),
+        "shelf-overflow": lambda: shelf_overflow_instance(64, seed=0),
+    }[name]()
+
+
+class TestCounterStability:
+    @pytest.mark.parametrize("seed", sorted(REPLAY_GOLDEN))
+    def test_replay_epoch_counters(self, seed):
+        from repro.online.epoch import EpochRescheduler
+        from repro.workloads.arrivals import make_trace
+
+        trace = make_trace("poisson", "mixed", 64, 16, seed=seed)
+        result = EpochRescheduler("mrt").replay(trace)
+        makespan, epochs = REPLAY_GOLDEN[seed]
+        assert result.makespan == pytest.approx(makespan, rel=1e-12)
+        assert len(result.epochs) == len(epochs)
+        for report, (tasks, hits, misses, guesses, span) in zip(result.epochs, epochs):
+            assert report.num_tasks == tasks
+            assert report.engine == {
+                "memo_hits": hits,
+                "memo_misses": misses,
+                "guesses": guesses,
+            }
+            assert report.makespan == pytest.approx(span, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MRT_GOLDEN))
+    def test_mrt_search(self, name):
+        from repro.core.mrt import MRTScheduler
+
+        branch, length, accepted, hits, misses, makespan, guess, lower = MRT_GOLDEN[name]
+        instance = golden_instance(name)
+        scheduler = MRTScheduler()
+        schedule = scheduler.schedule(instance)
+        result = scheduler.last_result
+        assert result.branch == branch
+        assert len(result.search.trace) == length
+        assert "".join("A" if g.accepted else "r" for g in result.search.trace) == accepted
+        info = instance.engine.cache_info()
+        assert (info["hits"], info["misses"]) == (hits, misses)
+        assert schedule.makespan() == pytest.approx(makespan, rel=1e-12)
+        assert result.best_guess == pytest.approx(guess, rel=1e-12)
+        assert result.lower_bound == pytest.approx(lower, rel=1e-12)
