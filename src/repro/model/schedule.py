@@ -82,12 +82,14 @@ class Schedule:
         in tables and Gantt charts).
     """
 
-    __slots__ = ("_instance", "_entries", "_algorithm")
+    __slots__ = ("_instance", "_entries", "_algorithm", "_makespan")
 
     def __init__(self, instance: Instance, *, algorithm: str = "") -> None:
         self._instance = instance
         self._entries: list[ScheduledTask] = []
         self._algorithm = algorithm
+        #: cached :meth:`makespan`; ``add`` and ``extend`` reset it.
+        self._makespan: float | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -120,11 +122,13 @@ class Schedule:
             duration=float(duration),
         )
         self._entries.append(entry)
+        self._makespan = None
         return entry
 
     def extend(self, entries: Iterable[ScheduledTask]) -> None:
         """Append pre-built entries (used by schedule transformations)."""
         self._entries.extend(entries)
+        self._makespan = None
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -167,9 +171,9 @@ class Schedule:
     # ------------------------------------------------------------------ #
     def makespan(self) -> float:
         """Completion time of the last task (0 for an empty schedule)."""
-        if not self._entries:
-            return 0.0
-        return max(e.end for e in self._entries)
+        if self._makespan is None:
+            self._makespan = max((e.end for e in self._entries), default=0.0)
+        return self._makespan
 
     def total_work(self) -> float:
         """Total processor-time area occupied by tasks."""

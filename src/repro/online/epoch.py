@@ -135,7 +135,8 @@ class EpochReport:
         epoch's batch (the dichotomic search, not the replay bookkeeping).
     engine:
         Allotment-engine memo statistics of the batch: ``memo_hits``,
-        ``memo_misses`` (the distinct deadlines whose γ(d) was computed) and
+        ``memo_misses`` (the distinct deadlines looked up for the first time;
+        a miss may be answered from the engine's piece table) and
         ``guesses`` (every γ(d) probe, i.e. hits + misses).  All zero for
         kernels that never probe γ.
     """

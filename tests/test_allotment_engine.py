@@ -10,10 +10,16 @@ memoizing repeated deadlines.
 from __future__ import annotations
 
 import dataclasses
+import math
+import random
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import run_comparison, sweep_workloads
 from repro.baselines.sequential import SequentialLPTScheduler
@@ -22,7 +28,7 @@ from repro.core.malleable_list import MalleableListScheduler
 from repro.core.partition import LAMBDA_STAR, build_partition
 from repro.core.properties import canonical_allotment
 from repro.model.instance import Instance
-from repro.model.task import MalleableTask
+from repro.model.task import EPS, MalleableTask
 from repro.workloads.generators import make_workload
 
 
@@ -162,6 +168,19 @@ class TestMemoization:
         assert quantize_deadline(1.0) != quantize_deadline(1.0 + 1e-9)
         assert quantize_deadline(1e6) != quantize_deadline(1e6 * (1 + 1e-9))
         assert quantize_deadline(0.0) == 0.0
+
+    def test_key_is_the_twelve_digit_scientific_rounding(self):
+        """The keys decide which probes count as hits, so they must stay
+        ``float(f"{d:.12e}")`` for finite non-zero deadlines."""
+        rng = np.random.default_rng(11)
+        values = np.concatenate(
+            [rng.lognormal(0.0, 8.0, 2000), -rng.lognormal(0.0, 8.0, 200)]
+        )
+        for d in values.tolist() + [5e-324, 1.7e308, 1.0 / 3.0]:
+            assert quantize_deadline(d) == float(f"{d:.12e}")
+        assert quantize_deadline(np.float64(2.5)) == 2.5
+        assert quantize_deadline(math.inf) == math.inf
+        assert math.isnan(quantize_deadline(math.nan))
 
     def test_lower_bound_searches_share_guesses(self):
         """canonical_area_lower_bound is recomputed by dual_search,
@@ -448,3 +467,134 @@ class TestCounterStability:
         assert schedule.makespan() == pytest.approx(makespan, rel=1e-12)
         assert result.best_guess == pytest.approx(guess, rel=1e-12)
         assert result.lower_bound == pytest.approx(lower, rel=1e-12)
+
+
+# --------------------------------------------------------------------------- #
+# the piece table: a miss in a known piece of γ must be indistinguishable
+# from the vectorized pass it replaces
+# --------------------------------------------------------------------------- #
+#: a few repeated values make ties between rows and columns (equal prefix
+#: minima) common, next to arbitrary floats.
+profile_values = st.one_of(
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    st.floats(min_value=0.01, max_value=50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def profile_instances(draw) -> Instance:
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=5))
+    tasks = []
+    for i in range(n):
+        times = draw(st.lists(profile_values, min_size=m, max_size=m))
+        if draw(st.booleans()):
+            tasks.append(MalleableTask(f"t{i}", times, require_monotonic=False))
+        else:
+            tasks.append(MalleableTask.monotonic_envelope(f"t{i}", times))
+    return Instance(tasks, m)
+
+
+def piece_deadlines(instance: Instance, rng_values: list[float]) -> list[float]:
+    """Every breakpoint b with b - EPS and its two float neighbours, plus
+    random, zero, negative, infinite and NaN deadlines."""
+    breaks = np.minimum.accumulate(instance.times_matrix, axis=1).ravel()
+    out = [0.0, -1.0, math.inf, math.nan] + rng_values
+    for b in breaks.tolist():
+        below = b - EPS
+        out += [b, below, np.nextafter(below, -np.inf), np.nextafter(below, np.inf)]
+    return [float(d) for d in out]
+
+
+def same_float(a: float | None, b: float | None) -> bool:
+    return a == b or (a is not None and b is not None and a != a and b != b)
+
+
+def assert_profile_matches_pass(engine: AllotmentEngine, deadline: float) -> None:
+    """``engine.gamma(deadline)`` against the direct pass of a fresh engine.
+
+    Only misses are compared: an LRU hit returns the profile of an earlier
+    deadline with the same quantized key (``b - EPS`` and its float
+    neighbours share one), which is the LRU's contract, not the table's.
+    """
+    misses = engine.misses
+    profile = engine.gamma(deadline)
+    if engine.misses == misses:
+        return
+    reference = AllotmentEngine(engine.times_matrix, engine.works_matrix)
+    direct = reference._compute(deadline)
+    for field in ("procs", "times", "works", "mask"):
+        assert np.array_equal(getattr(profile, field), getattr(direct, field)), field
+    assert profile.feasible == direct.feasible
+    assert same_float(profile.deadline, deadline)
+    assert same_float(profile.total_work, direct.total_work)
+    # the first probe of a fresh engine is always the vectorized pass
+    assert same_float(engine.mu_area(deadline), reference.mu_area(deadline))
+    alloc = profile.allotment()
+    assert (alloc is None) == (direct.allotment() is None)
+    if alloc is not None:
+        assert alloc.deadline == deadline
+
+
+class TestPieceTable:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        instance=profile_instances(),
+        extra=st.lists(st.floats(min_value=0.0, max_value=60.0), max_size=6),
+        data=st.data(),
+    )
+    def test_piece_path_equals_the_direct_pass(self, instance, extra, data):
+        deadlines = piece_deadlines(instance, extra)
+        for d in deadlines:
+            assert_profile_matches_pass(
+                AllotmentEngine(instance.times_matrix, instance.works_matrix), d
+            )
+        # A one-entry LRU forgets each deadline at once, so on the second
+        # pass nearly every probe is a miss answered from the piece table.
+        order = data.draw(st.permutations(deadlines))
+        warm = AllotmentEngine(
+            instance.times_matrix, instance.works_matrix, cache_size=1
+        )
+        for d in order + order:
+            assert_profile_matches_pass(warm, d)
+
+
+class TestThreadSafety:
+    def test_shared_engine_under_eight_threads(self):
+        """The experiment runner's thread fallback shares one engine per
+        instance: concurrent probes must see the serial answers, and every
+        probe must count exactly once as a hit or a miss."""
+        instance = make_workload("mixed", 24, 16, seed=5)
+        lb = instance.lower_bound()
+        deadlines = [float(d) for d in np.linspace(lb * 0.5, lb * 3.0, 150)] * 2
+        random.Random(7).shuffle(deadlines)
+        serial = AllotmentEngine(instance.times_matrix, instance.works_matrix)
+        expected = [
+            (serial.gamma(d).procs.tolist(), serial.total_work(d), serial.mu_area(d))
+            for d in deadlines
+        ]
+        shared = AllotmentEngine(instance.times_matrix, instance.works_matrix)
+        start = threading.Barrier(8)
+        results: list[list | None] = [None] * 8
+
+        def probe(slot: int) -> None:
+            start.wait(timeout=30)
+            results[slot] = [
+                (shared.gamma(d).procs.tolist(), shared.total_work(d), shared.mu_area(d))
+                for d in deadlines
+            ]
+
+        threads = [threading.Thread(target=probe, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == expected for result in results)
+        info = shared.cache_info()
+        assert info["hits"] + info["misses"] == 8 * 3 * len(deadlines)

@@ -172,3 +172,52 @@ class TestTransformations:
         assert clone.makespan() == pytest.approx(sched.makespan())
         assert len(clone) == len(sched)
         clone.validate()
+
+
+class TestCachedMakespan:
+    """``makespan()`` is cached; every way of growing a schedule resets it."""
+
+    def test_tracks_add(self, inst):
+        sched = Schedule(inst)
+        assert sched.makespan() == 0.0
+        sched.add(1, 0.0, 2, 2)
+        assert sched.makespan() == 1.8
+        sched.add(0, 0.0, 0, 2)
+        assert sched.makespan() == 2.5
+        sched.add(2, 2.5, 0, 1)
+        assert sched.makespan() == 3.5
+        assert sched.makespan() == max(e.end for e in sched)
+
+    def test_tracks_extend(self, inst):
+        sched = full_schedule(inst)
+        assert sched.makespan() == 3.5
+        target = Schedule(inst)
+        assert target.makespan() == 0.0
+        target.extend(sched.entries[:2])
+        assert target.makespan() == 2.5
+        target.extend(sched.entries[2:])
+        assert target.makespan() == 3.5
+
+    def test_shifted_and_merged(self, inst):
+        sched = full_schedule(inst)
+        assert sched.makespan() == 3.5
+        moved = sched.shifted(10.0)
+        assert moved.makespan() == max(e.end for e in moved)
+        assert sched.makespan() == 3.5
+        first = Schedule(inst)
+        first.add(0, 0.0, 0, 2)
+        assert first.makespan() == 2.5
+        second = Schedule(inst)
+        second.add(2, 2.5, 0, 1)
+        assert second.makespan() == 3.5
+        merged = first.merged_with(second)
+        assert merged.makespan() == 3.5
+        assert first.makespan() == 2.5
+
+    def test_empty_and_dict_round_trip(self, inst):
+        assert Schedule(inst).makespan() == 0.0
+        assert Schedule.from_dict(inst, Schedule(inst).as_dict()).makespan() == 0.0
+        sched = full_schedule(inst)
+        expected = sched.makespan()
+        clone = Schedule.from_dict(inst, sched.as_dict())
+        assert clone.makespan() == expected
