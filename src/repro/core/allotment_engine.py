@@ -88,9 +88,8 @@ def quantize_deadline(deadline: float) -> float:
     reference bit-for-bit.
     """
     d = float(deadline)
-    # ``math.isfinite`` and ``%``-formatting give the same keys as
-    # ``np.isfinite`` and an f-string, in a third of the time: every γ(d)
-    # probe, hit or miss, pays for this call.
+    # Every γ(d) probe, hit or miss, pays for this call: ``math.isfinite``
+    # avoids numpy's per-scalar ufunc overhead.
     if d == 0.0 or not math.isfinite(d):
         return d
     return float("%.*e" % (_SIG_DIGITS, d))
