@@ -1,8 +1,7 @@
 """Package metadata: ``pip install -e .`` installs ``repro`` from ``src/``.
 
 The version is read from ``src/repro/__init__.py`` (not imported, so
-building needs nothing but setuptools).  ``networkx`` is left out of
-``install_requires``: only the optional precedence extension uses it.
+building needs nothing but setuptools).
 """
 import re
 from pathlib import Path

@@ -11,8 +11,6 @@ Sub-commands
 ``compare``   Run the EXP-A style comparison sweep and print the summary table.
 ``mstar``     Print the m*(μ) curve of Figure 8.
 ``serve``     Run the HTTP scheduling service (see :mod:`repro.service`).
-``lint``      Run the repo-invariant static-analysis suite over ``src/repro``
-              against the committed baseline (see :mod:`repro.lint`).
 """
 
 from __future__ import annotations
@@ -228,37 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument("--verbose", action="store_true", help="log every request")
 
-    lint = sub.add_parser(
-        "lint", help="run the repo-invariant static-analysis suite"
-    )
-    lint.add_argument(
-        "--json", action="store_true", help="print the full JSON report"
-    )
-    lint.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only these rules (repeatable, e.g. --rule RL004)",
-    )
-    lint.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline file of grandfathered findings "
-        "(default: the committed lint-baseline.json if present)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    lint.add_argument(
-        "--root",
-        type=Path,
-        default=None,
-        help="package directory to analyse (default: the repro package itself)",
-    )
     return parser
 
 
@@ -540,11 +507,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         return _cmd_serve(args)
-
-    if args.command == "lint":
-        from .lint.cli import cmd_lint
-
-        return cmd_lint(args)
 
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover

@@ -19,8 +19,8 @@ The pillars, threaded through every serving and replay layer:
 - :mod:`repro.obs.prometheus` — text exposition of the same numbers via
   ``GET /metrics?format=prometheus``.
 
-Every span/metric name is pinned in :mod:`repro.obs.names`; lint rule
-RL007 keeps call sites honest.
+Every span/metric name is pinned in :mod:`repro.obs.names`; tracing
+and the Prometheus renderer raise on any name it does not declare.
 """
 
 from .health import (

@@ -156,7 +156,7 @@ class LatencyHistogram:
 
     # ------------------------------------------------------------------ #
     def as_dict(self) -> dict:
-        """Mergeable snapshot; shape pinned by lint rule RL003."""
+        """Mergeable snapshot; shape pinned by ``tests/test_contracts.py``."""
         return {
             "scheme": self.SCHEME,
             "count": self.count,

@@ -6,12 +6,12 @@ and a typo'd name does not fail loudly — the series silently vanishes.
 Every span opened through :meth:`repro.obs.tracing.Trace.span` /
 :meth:`~repro.obs.tracing.Trace.record_span` and every metric family
 rendered by :mod:`repro.obs.prometheus` must therefore reference one of
-the constants below; lint rule RL007 enforces that statically (string
-literals at a span call site, or ``repro_*`` literals outside this
-module, are findings).
+the constants below.  Both check it at runtime: a span name outside
+:data:`SPAN_NAMES` raises ``ValueError`` and a family outside
+:data:`METRICS` raises ``KeyError``.
 
-Adding a name is a deliberate act: declare the constant here, add it to
-the registry mapping, and the rule accepts it everywhere.
+Adding a name is a deliberate act: declare the constant here and add it
+to the registry mapping.
 """
 
 from __future__ import annotations

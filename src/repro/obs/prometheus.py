@@ -6,8 +6,7 @@ every Prometheus-compatible scraper (Prometheus, VictoriaMetrics,
 Grafana Agent) ingests.  Only metric families declared in
 :data:`repro.obs.names.METRICS` can be emitted: the renderer iterates
 that registry's ``HELP``/``TYPE`` metadata, so an undeclared family is a
-``KeyError`` here and an RL007 finding at the call site, never a silent
-new series.
+``KeyError`` here, never a silent new series.
 
 Latency renders as a real Prometheus histogram (cumulative ``_bucket``
 series over the pinned bounds, ``_sum``/``_count``), so ``histogram_quantile``

@@ -19,7 +19,7 @@ memory:
   way full histograms do — summing — so the router's fleet-wide windowed
   p99 is exact, not an approximation.
 
-Everything here is stdlib-only and deterministic (RL002-clean): no
+Everything here is stdlib-only and deterministic: no
 wall-clock reads, no randomness — time enters only through the injected
 clock, which tests replace with a counter.
 """
@@ -161,7 +161,7 @@ class WindowDelta:
         return int(self.counters.get(name, 0))
 
     def as_dict(self) -> dict:
-        """Mergeable snapshot; shape pinned by lint rule RL003."""
+        """Mergeable snapshot; shape pinned by ``tests/test_contracts.py``."""
         return {
             "duration_s": self.duration_s,
             "samples": self.samples,

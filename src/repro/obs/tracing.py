@@ -9,19 +9,18 @@ accounting) stamp their own perf-counter interval and attach it with
 
 Trace ids come from a seeded :class:`Tracer` counter, not the wall clock
 or ``uuid4`` — the same construction order yields the same ids, which
-keeps cluster tests reproducible (lint rule RL002 bans unseeded
-randomness for exactly this reason).  Across the router→shard hop the
-*router's* id travels in the ``X-Repro-Trace-Id`` header and the shard
-adopts it, so ``GET /trace/<id>`` can stitch both components into one
-timeline.
+keeps cluster tests reproducible (``tests/test_obs.py`` pins ids per
+seed).  Across the router→shard hop the *router's* id travels in the
+``X-Repro-Trace-Id`` header and the shard adopts it, so
+``GET /trace/<id>`` can stitch both components into one timeline.
 
 The :class:`TraceStore` is a fixed-capacity ring: old traces fall off,
 memory stays constant under sustained load, and requests slower than the
 configured threshold are summarised into a separate bounded slow log
 before eviction can lose them.
 
-Span and metric *names* are pinned in :mod:`repro.obs.names`; RL007
-rejects ad-hoc literals at ``span()``/``record_span()`` call sites.
+Span and metric *names* are pinned in :mod:`repro.obs.names`;
+``span()`` and ``record_span()`` raise ``ValueError`` on any other name.
 """
 
 from __future__ import annotations

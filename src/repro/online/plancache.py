@@ -22,9 +22,9 @@ kernels is safe and is exactly what makes a shard warm for both.  The
 
 Engine counters are stored *inside* the cached plan so a warm replay
 reports the identical deterministic ``engine`` block as a cold one —
-``compute_ms`` is the only field a cache hit may change.  The key schema is
-pinned under lint rule RL003 (``FINGERPRINT_TAGS``), so silent drift is a
-lint failure, not a stale-cache incident.
+``compute_ms`` is the only field a cache hit may change.  A golden
+digest in ``tests/test_contracts.py`` pins the key, so silent drift is a
+test failure, not a stale-cache incident.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ PLAN_MISS = MISS
 def plan_key(batch: Instance, algorithm: str, params_json: str) -> str:
     """Content address of one epoch batch's offline plan (hex, 128-bit).
 
-    The domain tag is RL003-pinned (``FINGERPRINT_TAGS``): bump the version
-    suffix whenever the cached-plan layout changes so old processes never
-    replay a plan they cannot rebuild.
+    A golden digest in ``tests/test_contracts.py`` pins the key: bump the
+    domain tag's version suffix whenever the cached-plan layout changes
+    so old processes never replay a plan they cannot rebuild.
     """
     digest = blake2b(digest_size=16)
     digest.update(b"repro-plan-v1")

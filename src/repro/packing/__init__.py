@@ -1,20 +1,6 @@
 """One-dimensional packing substrate: bin packing under a deadline and shelves."""
 
-from .bin_packing import (
-    BinPackingResult,
-    best_fit,
-    first_fit,
-    first_fit_decreasing,
-    num_bins_first_fit,
-)
+from .bin_packing import BinPackingResult, first_fit
 from .shelves import Shelf, ShelfPlacement
 
-__all__ = [
-    "BinPackingResult",
-    "first_fit",
-    "first_fit_decreasing",
-    "best_fit",
-    "num_bins_first_fit",
-    "Shelf",
-    "ShelfPlacement",
-]
+__all__ = ["BinPackingResult", "first_fit", "Shelf", "ShelfPlacement"]

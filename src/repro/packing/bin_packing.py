@@ -7,10 +7,6 @@ durations are item sizes.  The only property the analysis of Section 4.1
 needs is the classical First Fit guarantee: at most one bin ends up at most
 half full, hence ``Σ sizes > (num_bins - 1) * capacity/2`` whenever more
 than one bin is opened.
-
-Besides First Fit this module provides First Fit Decreasing and Best Fit
-(used by the baselines and exercised in the tests), all sharing the
-:class:`BinPackingResult` output type.
 """
 
 from __future__ import annotations
@@ -21,13 +17,7 @@ from typing import Sequence
 from ..exceptions import InfeasibleError
 from ..model.task import EPS
 
-__all__ = [
-    "BinPackingResult",
-    "first_fit",
-    "first_fit_decreasing",
-    "best_fit",
-    "num_bins_first_fit",
-]
+__all__ = ["BinPackingResult", "first_fit"]
 
 
 @dataclass
@@ -71,43 +61,6 @@ class BinPackingResult:
             raise InfeasibleError("assignment and bins disagree")
 
 
-def _pack(
-    sizes: Sequence[float],
-    capacity: float,
-    order: Sequence[int],
-    *,
-    best_fit_rule: bool,
-) -> BinPackingResult:
-    result = BinPackingResult(capacity=float(capacity))
-    for i in order:
-        size = float(sizes[i])
-        if size > capacity + EPS:
-            raise InfeasibleError(
-                f"item {i} of size {size} does not fit in capacity {capacity}"
-            )
-        chosen = -1
-        if best_fit_rule:
-            best_slack = None
-            for b, load in enumerate(result.loads):
-                slack = capacity - load - size
-                if slack >= -EPS and (best_slack is None or slack < best_slack):
-                    best_slack = slack
-                    chosen = b
-        else:
-            for b, load in enumerate(result.loads):
-                if load + size <= capacity + EPS:
-                    chosen = b
-                    break
-        if chosen < 0:
-            result.bins.append([])
-            result.loads.append(0.0)
-            chosen = len(result.bins) - 1
-        result.bins[chosen].append(i)
-        result.loads[chosen] += size
-        result.assignment[i] = chosen
-    return result
-
-
 def first_fit(sizes: Sequence[float], capacity: float) -> BinPackingResult:
     """First Fit in input order (the packing used by the paper, FF).
 
@@ -125,25 +78,23 @@ def first_fit(sizes: Sequence[float], capacity: float) -> BinPackingResult:
     stated above, which is exactly what the two-shelf analysis needs.  Both
     facts are pinned by property tests in ``test_bin_packing.py``.
     """
-    return _pack(sizes, capacity, range(len(sizes)), best_fit_rule=False)
-
-
-def first_fit_decreasing(sizes: Sequence[float], capacity: float) -> BinPackingResult:
-    """First Fit Decreasing: sort items by non-increasing size, then First Fit."""
-    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-    return _pack(sizes, capacity, order, best_fit_rule=False)
-
-
-def best_fit(sizes: Sequence[float], capacity: float) -> BinPackingResult:
-    """Best Fit in input order: place each item in the fullest bin where it fits."""
-    return _pack(sizes, capacity, range(len(sizes)), best_fit_rule=True)
-
-
-def num_bins_first_fit(sizes: Sequence[float], capacity: float) -> int:
-    """Number of processors needed by First Fit — the paper's ``FF(d, S)``.
-
-    Returns 0 for an empty item set.
-    """
-    if not sizes:
-        return 0
-    return first_fit(sizes, capacity).num_bins
+    result = BinPackingResult(capacity=float(capacity))
+    for i in range(len(sizes)):
+        size = float(sizes[i])
+        if size > capacity + EPS:
+            raise InfeasibleError(
+                f"item {i} of size {size} does not fit in capacity {capacity}"
+            )
+        chosen = -1
+        for b, load in enumerate(result.loads):
+            if load + size <= capacity + EPS:
+                chosen = b
+                break
+        if chosen < 0:
+            result.bins.append([])
+            result.loads.append(0.0)
+            chosen = len(result.bins) - 1
+        result.bins[chosen].append(i)
+        result.loads[chosen] += size
+        result.assignment[i] = chosen
+    return result

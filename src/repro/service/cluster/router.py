@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from hashlib import blake2b
 
 from ...exceptions import ClusterError
-from ...lint.registry import build_info as lint_build_info
 from ...obs.health import evaluate_health
 from ...obs.histogram import LatencyHistogram
 from ...obs.names import SPAN_FORWARD, SPAN_ROUTE
@@ -765,9 +764,6 @@ class RouterApp(App):
             # The autoscaler contract, surfaced at the top level so a
             # consumer needs no knowledge of the health-block layout.
             "scale_hint": health["scale_hint"],
-            # Router-side invariant advertisement, mirroring each shard's
-            # own ``build`` block inside its snapshot.
-            "build": lint_build_info(),
         }
 
 

@@ -29,7 +29,6 @@ from typing import Any, Callable
 import numpy as np
 
 from ..exceptions import ModelError, ServiceOverloadedError
-from ..lint.registry import build_info as lint_build_info
 from ..model.instance import Instance, profile_fingerprint
 from ..obs.health import evaluate_health
 from ..obs.histogram import LatencyHistogram
@@ -542,9 +541,6 @@ class SchedulerService:
                 "interval_s": self.history.interval,
             },
             "uptime_seconds": time.monotonic() - self._started,
-            # Which invariant set this tree was checked against: lets a
-            # deployed shard advertise its lint version + ruleset hash.
-            "build": lint_build_info(),
         }
 
     def close(self) -> None:

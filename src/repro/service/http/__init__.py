@@ -10,8 +10,7 @@ that stack into two layers:
   ``handle(Request) -> Response`` object with a declarative route table.
   Apps never touch sockets; handlers raise domain exceptions and the one
   shared mapper (:func:`~repro.service.http.errors.map_exception`) turns
-  them into status codes, so the error contract is enforced once (lint
-  rule RL008 keeps it that way).
+  them into status codes, so the error contract is enforced once.
 * **Transport** — :class:`~repro.service.http.threaded.ThreadedTransport`,
   the stdlib ``ThreadingHTTPServer`` (one thread per connection), which
   parses bytes off a socket into a :class:`Request` and writes the

@@ -1,4 +1,4 @@
-"""The single error→status mapper of the serving stack (RL005/RL008).
+"""The single error→status mapper of the serving stack.
 
 Every handler exception in every app — daemon and router alike — funnels
 through :func:`map_exception` via :meth:`App.handle
@@ -16,9 +16,10 @@ anything else (``ReproError``, bugs)   500     ``{"error": "Type: message"}``
 
 A 4xx means the *client* sent something wrong (diagnostic attached); a 503
 means back off and retry; a 500 is reserved for genuine server bugs and is
-what the benchmarks count as a server error.  Lint rule RL008 flags
-any ``except`` handler elsewhere in ``service/`` that builds a status
-response itself, keeping this module the single source of truth.
+what the benchmarks count as a server error.
+``tests/test_http_parity.py`` (``test_error_paths_identical``) pins that
+every shared error path answers the same 4xx from the daemon and the
+router.
 """
 
 from __future__ import annotations

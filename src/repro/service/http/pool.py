@@ -127,7 +127,5 @@ class RetryPolicy:
 
     def sleep(self, attempt: int) -> None:
         """Block for this attempt's jittered backoff delay."""
-        # Backoff jitter must NOT be seeded/deterministic: clients that
-        # back off in lockstep re-thunder the herd they are spreading.
-        # repro-lint: disable=RL002
+        # Deliberately unseeded: clients in lockstep would re-thunder the herd.
         time.sleep(random.uniform(0.0, self.delay(attempt)))

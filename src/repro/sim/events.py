@@ -11,8 +11,8 @@ __all__ = ["EventKind", "Event", "times_close"]
 def times_close(a: float, b: float, *, tol: float = 1e-9) -> bool:
     """True when two simulated timestamps coincide within tolerance.
 
-    The one sanctioned way to test time coincidence (lint rule RL001 flags
-    naked ``==``/``!=`` between time expressions): stitched online
+    The one sanctioned way to test time coincidence (a naked ``==``/``!=``
+    between time expressions depends on rounding): stitched online
     timelines shift every epoch's entries by a float epoch start, so two
     logically equal timestamps routinely differ by an ulp.  The tolerance
     is scale-aware — ``tol * max(1, |a|, |b|)`` — because an absolute

@@ -8,14 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InfeasibleError
-from repro.packing import (
-    best_fit,
-    first_fit,
-    first_fit_decreasing,
-    num_bins_first_fit,
-)
+from repro.packing import first_fit
 
-ALGOS = [first_fit, first_fit_decreasing, best_fit]
+ALGOS = [first_fit]
 
 
 @pytest.mark.parametrize("algo", ALGOS, ids=lambda f: f.__name__)
@@ -113,28 +108,6 @@ class TestFirstFitSpecific:
         result = first_fit(sizes, 1.0)
         if result.num_bins >= 2:
             assert sum(sizes) > (result.num_bins - 1) * 0.5
-
-    def test_num_bins_helper(self):
-        assert num_bins_first_fit([], 1.0) == 0
-        assert num_bins_first_fit([0.7, 0.7], 1.0) == 2
-        assert num_bins_first_fit([0.5, 0.5], 1.0) == 1
-
-
-class TestFFDAndBestFit:
-    def test_ffd_no_worse_than_ff_on_classic_example(self):
-        sizes = [0.2, 0.5, 0.4, 0.7, 0.1, 0.3, 0.8]
-        assert (
-            first_fit_decreasing(sizes, 1.0).num_bins
-            <= first_fit(sizes, 1.0).num_bins
-        )
-
-    def test_best_fit_prefers_fullest_bin(self):
-        result = best_fit([0.5, 0.7, 0.2], 1.0)
-        # 0.2 joins the 0.7 bin (slack 0.1) rather than the 0.5 bin (slack 0.3),
-        # whereas First Fit would put it with 0.5
-        assert result.assignment[2] == result.assignment[1]
-        ff = first_fit([0.5, 0.7, 0.2], 1.0)
-        assert ff.assignment[2] == ff.assignment[0]
 
     def test_validate_catches_corruption(self):
         result = first_fit([0.4, 0.4], 1.0)

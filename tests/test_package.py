@@ -84,9 +84,3 @@ class TestPublicAPI:
         schedule = repro.MRTScheduler().schedule(instance)
         assert schedule.makespan() > 0
         assert schedule.is_complete()
-
-    def test_extensions_importable(self):
-        from repro.extensions import PrecedenceScheduler, random_task_tree
-
-        assert PrecedenceScheduler.name == "precedence-cp"
-        assert callable(random_task_tree)

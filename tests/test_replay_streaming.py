@@ -14,8 +14,8 @@ in the payload bytes, so this suite pins:
     ``compute_ms``/``elapsed_ms``), including the fallback-adopted
     ``availability-*`` path, with hit/miss/eviction accounting to prove
     the cache was actually exercised;
-(c) plan keys are order-sensitive, kernel-agnostic and pinned under lint
-    rule RL003 so the schema cannot drift silently;
+(c) plan keys are order-sensitive and kernel-agnostic (their digest is
+    pinned by a golden value in ``tests/test_contracts.py``);
 (d) the daemon endpoint streams the same bytes the in-process generator
     yields, and ``ServiceClient.replay`` reassembles them faithfully.
 """
@@ -287,29 +287,6 @@ class TestPlanKeySchema:
         base = plan_key(trace, "mrt", PlanCache.params_json(None))
         assert plan_key(trace, "ltf", PlanCache.params_json(None)) != base
         assert plan_key(trace, "mrt", PlanCache.params_json({"x": 1})) != base
-
-    def test_rl003_pins_the_plan_key_domain_tag(self):
-        """(c) The schema registry must carry the exact inlined tag; the lint
-        rule itself (scanning the function body) is exercised by the lint
-        suite, so drift in either direction fails CI."""
-        from repro.lint.rules.schema import FINGERPRINT_TAGS
-
-        assert FINGERPRINT_TAGS["online/plancache.py::plan_key"] == frozenset(
-            {b"repro-plan-v1"}
-        )
-
-    def test_rl003_rule_accepts_the_current_plan_key(self):
-        """Run the rule itself over the real package: the plancache module
-        produces no RL003 findings, so the inlined tag and the registry
-        agree in both directions."""
-        from pathlib import Path
-
-        import repro
-        from repro.lint import run_lint
-
-        result = run_lint(Path(repro.__file__).resolve().parent, rules=["RL003"])
-        offenders = [f for f in result.new if "plancache" in f.path]
-        assert offenders == [], [f.render() for f in offenders]
 
 
 class TestDaemonStreamEndToEnd:
