@@ -22,23 +22,46 @@ retired in-house linter:
   ``with self.<lock>:`` somewhere, and writes after construction, must not
   be touched outside a lock scope elsewhere.  The ``ClusterSupervisor._closed``
   race was found this way.
+* ``TestObservabilityNames`` (was RL007) pins the runtime side of
+  :mod:`repro.obs.names`: both span entry points accept every declared
+  name and reject a near-miss, every name constant is registered, and
+  every declared metric family renders under Prometheus naming rules.
+* ``TestErrorMapping`` (was RL005 and RL008) pins the one error mapper:
+  each exception class answers its documented status and body, both from
+  :func:`map_exception` and through :meth:`App.handle`.
+* ``TestTimeCoincidence`` (was RL001) pins the scale-aware tolerance of
+  :func:`times_close`, the one sanctioned time comparison.
+* ``TestDeterministicSchedules`` (was RL002) checks that every registered
+  scheduler gives byte-identical JSON for two separate runs on two
+  separately generated copies of one instance.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import math
 import pkgutil
+import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.exceptions import (
+    InvalidScheduleError,
+    ModelError,
+    MonotonicityError,
+    SchedulingError,
+    ServiceOverloadedError,
+)
 from repro.model.instance import Instance, profile_fingerprint
 from repro.model.task import MalleableTask
 from repro.obs import names
 from repro.obs.histogram import LatencyHistogram
+from repro.obs.prometheus import _Exposition
 from repro.obs.slo import SLO
 from repro.obs.timeseries import MetricRing
 from repro.obs.tracing import Tracer
@@ -47,7 +70,11 @@ from repro.online.plancache import plan_key
 from repro.registry import ALGORITHMS, make_scheduler
 from repro.scheduler import Scheduler
 from repro.service.cache import LRUTTLCache
+from repro.service.http.app import App, Request, Route
+from repro.service.http.errors import map_exception, oversized_body_response
+from repro.sim.events import times_close
 from repro.workloads.arrivals import make_trace
+from repro.workloads.generators import make_workload
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -414,3 +441,158 @@ class TestLockDiscipline:
         assert lock_violations(textwrap.dedent(source)) == [
             "Svc.bare_add line 14: '_items' written outside its lock"
         ]
+
+
+# ---------------------------------------------------------------------- #
+# observability names
+# ---------------------------------------------------------------------- #
+def _name_constants(prefix: str, registry: str) -> set[str]:
+    return {
+        value for key, value in vars(names).items()
+        if key.startswith(prefix) and key != registry
+    }
+
+
+class TestObservabilityNames:
+    @pytest.mark.parametrize("name", sorted(names.SPAN_NAMES))
+    def test_declared_span_name_is_recorded_by_both_entry_points(self, name):
+        trace = Tracer("service", seed=0).start()
+        with trace.span(name):
+            pass
+        trace.record_span(name, 0.0, 1.0)
+        assert [span.name for span in trace.spans] == [name, name]
+
+    @pytest.mark.parametrize("name", ["Parse", "parse ", "cache-lookup"])
+    def test_near_miss_span_name_is_rejected_by_both_entry_points(self, name):
+        trace = Tracer("service", seed=0).start()
+        with pytest.raises(ValueError):
+            trace.span(name)
+        with pytest.raises(ValueError):
+            trace.record_span(name, 0.0, 1.0)
+        assert trace.spans == []
+
+    def test_every_name_constant_is_registered(self):
+        assert _name_constants("SPAN_", "SPAN_NAMES") == names.SPAN_NAMES
+        assert _name_constants("METRIC_", "METRIC_NAMES") == names.METRIC_NAMES
+
+    @pytest.mark.parametrize("family", sorted(names.METRICS))
+    def test_declared_family_renders_under_prometheus_naming(self, family):
+        kind, help_text = names.METRICS[family]
+        assert re.fullmatch(r"repro_[a-z0-9_]+", family)
+        # Prometheus convention: counters, and only counters, end in _total.
+        assert family.endswith("_total") == (kind == "counter")
+        exposition = _Exposition()
+        exposition.sample(family, 2.0)
+        exposition.sample(family, 3.0, {"shard": "0"})
+        assert exposition._lines == [
+            f"# HELP {family} {help_text}",
+            f"# TYPE {family} {kind}",
+            f"{family} 2",
+            f'{family}{{shard="0"}} 3',
+        ]
+
+    def test_undeclared_family_cannot_be_rendered(self):
+        exposition = _Exposition()
+        with pytest.raises(KeyError):
+            exposition.sample("repro_made_up_total", 1.0)
+        with pytest.raises(KeyError):
+            exposition.histogram("repro_made_up_ms", _histogram().as_dict())
+        assert exposition._lines == []
+
+
+# ---------------------------------------------------------------------- #
+# error mapping
+# ---------------------------------------------------------------------- #
+#: exception -> (status, body) as documented in ``service/http/errors.py``.
+ERROR_CASES = {
+    "model-error": (ModelError("bad profile"), 400, {"error": "bad profile"}),
+    "monotonicity-error": (
+        MonotonicityError("not monotonic"), 400, {"error": "not monotonic"}
+    ),
+    "overloaded": (ServiceOverloadedError("queue full"), 503, {"error": "queue full"}),
+    "timeout": (TimeoutError("slow"), 504, {"error": "scheduling request timed out"}),
+    "invalid-schedule": (
+        InvalidScheduleError("overlap"), 500, {"error": "InvalidScheduleError: overlap"}
+    ),
+    "scheduling-error": (
+        SchedulingError("stuck"), 500, {"error": "SchedulingError: stuck"}
+    ),
+    # A plain ValueError is a bug, not malformed input: only ModelError is a 400.
+    "value-error": (ValueError("oops"), 500, {"error": "ValueError: oops"}),
+    "runtime-error": (RuntimeError("crash"), 500, {"error": "RuntimeError: crash"}),
+}
+
+
+class _RaisingApp(App):
+    """An app whose one route raises whatever the test hands it."""
+
+    def __init__(self, exc: BaseException) -> None:
+        self.exc = exc
+        super().__init__()
+
+    def routes(self) -> list[Route]:
+        return [Route("POST", "/raise", self._raise)]
+
+    def _raise(self, request: Request):
+        raise self.exc
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_exception_answers_its_documented_status(self, case):
+        exc, status, body = ERROR_CASES[case]
+        for response in (
+            map_exception(exc),
+            _RaisingApp(exc).handle(Request("POST", "/raise", "/raise", "", {})),
+        ):
+            assert response.status == status
+            assert response.content_type == "application/json"
+            assert json.loads(response.body) == body
+            assert not response.close
+
+    def test_oversized_body_is_a_400_that_drops_the_connection(self):
+        response = oversized_body_response(1024)
+        assert response.status == 400
+        assert json.loads(response.body) == {
+            "error": "request body larger than 1024 bytes"
+        }
+        assert response.close
+
+
+# ---------------------------------------------------------------------- #
+# time coincidence
+# ---------------------------------------------------------------------- #
+class TestTimeCoincidence:
+    def test_near_zero_the_tolerance_is_absolute(self):
+        assert times_close(0.0, 5e-10)
+        assert times_close(1.0, 1.0 + 5e-10)
+        assert not times_close(0.0, 2e-9)
+        assert not times_close(1.0, 1.0 + 1e-6)
+
+    def test_far_from_zero_the_tolerance_scales(self):
+        # One ulp at 1e12 is ~1.2e-4, far above an absolute 1e-9.
+        big = 1e12
+        assert times_close(big, math.nextafter(big, math.inf))
+        assert times_close(big, big * (1 + 5e-10))
+        assert not times_close(big, big * (1 + 2e-9))
+
+    def test_a_shifted_timeline_still_coincides(self):
+        # Stitched online timelines shift every entry by a float epoch
+        # start; sums that are equal on paper differ in the last bit.
+        assert times_close((0.1 + 0.2) + 0.3, 0.1 + (0.2 + 0.3))
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+
+# ---------------------------------------------------------------------- #
+# determinism
+# ---------------------------------------------------------------------- #
+class TestDeterministicSchedules:
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_two_runs_give_byte_identical_json(self, name):
+        runs = [
+            json.dumps(
+                make_scheduler(name).schedule(make_workload("mixed", 12, 6, seed=4)).as_dict()
+            )
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
