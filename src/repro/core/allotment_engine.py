@@ -318,13 +318,17 @@ class AllotmentEngine:
         return self._works
 
     def cache_info(self) -> dict[str, int]:
-        """Cache statistics: hits, misses, current size and capacity."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._cache),
-            "maxsize": self._cache_size,
-        }
+        """Cache statistics: hits, misses, current size and capacity.
+
+        Read under the lock, so the three counts are taken at one moment.
+        """
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "size": len(self._cache),
+                "maxsize": self._cache_size,
+            }
 
     def clear_cache(self) -> None:
         """Drop every memoized profile, the piece table with its sorted

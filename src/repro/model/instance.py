@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Iterator, Sequence
+import math
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ..exceptions import ModelError
 from .task import EPS, MalleableTask
 
-__all__ = ["Instance", "profile_fingerprint"]
+__all__ = ["Instance", "ParsedProfiles", "parse_profiles", "profile_fingerprint"]
 
 
 def profile_fingerprint(
@@ -59,6 +60,54 @@ def profile_fingerprint(
     return digest.hexdigest()
 
 
+class ParsedProfiles(NamedTuple):
+    """A payload's tasks as checked by :func:`parse_profiles`."""
+
+    num_procs: int
+    names: list[str]
+    #: read-only ``(n, num_procs)`` execution times, truncated like
+    #: :class:`Instance` truncates each profile.
+    times: np.ndarray
+    releases: list[float]
+
+
+def parse_profiles(payload: dict) -> ParsedProfiles | None:
+    """Check an :meth:`Instance.as_dict` payload's tasks in one numpy pass.
+
+    Stacks every ``times`` list into one ``(n, L)`` matrix and checks the
+    full rows at once, as :class:`MalleableTask` checks each profile: finite
+    and positive times (past column ``num_procs`` too) and a finite,
+    non-negative release.  Returns ``None`` for anything it cannot take
+    whole (a missing key, ragged rows, a bad value in any task, a
+    ``num_procs`` that is not a plain int in ``1..L``), so the caller falls
+    back to the per-task path, which raises the error for the first bad
+    task.  Shared by :meth:`Instance.from_dict` and the service's payload
+    fingerprint, so both accept exactly the same payloads.
+    """
+    try:
+        entries = payload["tasks"]
+        num_procs = payload["num_procs"]
+        if type(entries) is not list or type(num_procs) is not int:
+            return None
+        names = [str(task["name"]) for task in entries]
+        releases = [float(task.get("release", 0.0)) for task in entries]
+        full = np.array([task["times"] for task in entries], dtype=float)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
+        return None  # not an as_dict payload: the per-task path words the error
+    if (
+        full.ndim != 2
+        or num_procs < 1
+        or full.shape[1] < num_procs
+        or not np.isfinite(full).all()
+        or not (full > 0.0).all()
+        or not all(0.0 <= release < math.inf for release in releases)
+    ):
+        return None
+    times = np.ascontiguousarray(full[:, :num_procs])
+    times.setflags(write=False)
+    return ParsedProfiles(num_procs, names, times, releases)
+
+
 class Instance:
     """An instance of the malleable-task scheduling problem.
 
@@ -73,7 +122,7 @@ class Instance:
         Optional label used in experiment reports.
     """
 
-    __slots__ = ("_tasks", "_m", "_name", "_engine", "_fingerprint")
+    __slots__ = ("_tasks", "_m", "_name", "_engine", "_fingerprint", "_time_rows")
 
     def __init__(
         self,
@@ -106,6 +155,7 @@ class Instance:
         self._name = str(name)
         self._engine = None
         self._fingerprint: str | None = None
+        self._time_rows: list[list[float]] | None = None
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -190,6 +240,18 @@ class Instance:
         """Stacked work profiles, ``works[i, p-1] = p · t_i(p)``."""
         return np.vstack([t.works for t in self._tasks])
 
+    def time_rows(self) -> list[list[float]]:
+        """:attr:`times_matrix` as nested Python floats, built once.
+
+        :meth:`Schedule.validate <repro.model.schedule.Schedule.validate>`
+        reads its expected durations here: a list lookup is cheaper than a
+        numpy scalar for the ~10 entries of a schedule.  Shared, so callers
+        must not mutate it; dropped on pickling like the engine.
+        """
+        if self._time_rows is None:
+            self._time_rows = self.times_matrix.tolist()
+        return self._time_rows
+
     # ------------------------------------------------------------------ #
     # release dates (online traces)
     # ------------------------------------------------------------------ #
@@ -230,6 +292,7 @@ class Instance:
         self._name = state["name"]
         self._engine = None
         self._fingerprint = None
+        self._time_rows = None
 
     # ------------------------------------------------------------------ #
     # aggregate quantities
@@ -380,9 +443,31 @@ class Instance:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Instance":
-        """Inverse of :meth:`as_dict`."""
-        tasks = [MalleableTask.from_dict(t) for t in payload["tasks"]]
-        return cls(tasks, payload["num_procs"], name=payload.get("name", "instance"))
+        """Inverse of :meth:`as_dict`.
+
+        A payload :func:`parse_profiles` takes whole is built from its
+        checked matrix: one ``np.diff`` per matrix gives every task's
+        monotonic flag, and each task holds read-only row views.  Anything
+        else goes task by task through :meth:`MalleableTask.from_dict`,
+        which raises the error for the first bad task.  Both paths build
+        equal tasks.
+        """
+        parsed = parse_profiles(payload)
+        if parsed is None:
+            tasks = [MalleableTask.from_dict(t) for t in payload["tasks"]]
+            return cls(tasks, payload["num_procs"], name=payload.get("name", "instance"))
+        times = parsed.times
+        works = times * np.arange(1, parsed.num_procs + 1, dtype=float)
+        works.setflags(write=False)
+        monotonic = (
+            (np.diff(times, axis=1) <= EPS).all(axis=1)
+            & (np.diff(works, axis=1) >= -EPS).all(axis=1)
+        ).tolist()
+        tasks = [
+            MalleableTask._from_checked(*task)
+            for task in zip(parsed.names, times, works, monotonic, parsed.releases)
+        ]
+        return cls(tasks, parsed.num_procs, name=payload.get("name", "instance"))
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":

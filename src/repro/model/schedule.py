@@ -17,6 +17,7 @@ a silently wrong makespan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -262,7 +263,83 @@ class Schedule:
             offline schedulers ignore release dates).
         tol:
             Absolute tolerance for floating point comparisons.
+
+        The verdict comes from one pass (:meth:`_passes`); only a schedule
+        it fails goes through the check-by-check loop, which words the
+        first violation.
         """
+        if not self._passes(require_complete, deadline, respect_release, tol):
+            self._raise_first_violation(require_complete, deadline, respect_release, tol)
+
+    def _passes(
+        self,
+        require_complete: bool,
+        deadline: float | None,
+        respect_release: bool,
+        tol: float,
+    ) -> bool:
+        """Whether :meth:`_raise_first_violation` would raise nothing, in one pass.
+
+        Plain Python on purpose: a schedule has about ten entries, too few
+        for numpy to pay off.  One loop checks each entry against the
+        instance's cached :meth:`~repro.model.instance.Instance.time_rows`
+        and counts tasks; a sweep in ``(start, end)`` order keeps each
+        processor's latest end, and an entry starting more than ``tol``
+        before it overlaps.  That finds an overlap exactly when the loop's
+        sorted per-processor pairs do.  ``False`` also stands for "let the
+        loop decide": a task index outside ``0..n-1`` (the loop indexes
+        tasks Python-style), a non-finite start or duration (the loop's sort
+        order is then undefined) and an ill-typed field.
+        """
+        instance = self._instance
+        rows = instance.time_rows()
+        tasks = instance.tasks
+        n = len(rows)
+        m = instance.num_procs
+        counts = [0] * n
+        spans = []
+        try:
+            for entry in self._entries:
+                index = entry.task_index
+                start = entry.start
+                first = entry.first_proc
+                k = entry.num_procs
+                duration = entry.duration
+                end = start + duration
+                if not (0 <= index < n and math.isfinite(end)):
+                    return False
+                counts[index] += 1
+                if start < -tol:
+                    return False
+                if respect_release and start < tasks[index].release_time - tol:
+                    return False
+                if k < 1 or first < 0 or first + k > m:
+                    return False
+                expected = rows[index][k - 1]
+                if abs(duration - expected) > tol * max(1.0, expected):
+                    return False
+                spans.append((start, end, first, k))
+            if max(counts) > 1 or (require_complete and min(counts) < 1):
+                return False
+            spans.sort()
+            latest = [-math.inf] * m
+            for start, end, first, k in spans:
+                block = latest[first : first + k]
+                if start < max(block) - tol:
+                    return False
+                latest[first : first + k] = [end if end > x else x for x in block]
+        except TypeError:  # ill-typed fields: the loop words it
+            return False
+        return deadline is None or not self.makespan() > deadline + tol
+
+    def _raise_first_violation(
+        self,
+        require_complete: bool,
+        deadline: float | None,
+        respect_release: bool,
+        tol: float,
+    ) -> None:
+        """Check each constraint in turn; raise on the first violation."""
         m = self._instance.num_procs
         seen: dict[int, int] = {}
         for entry in self._entries:

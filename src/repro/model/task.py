@@ -109,6 +109,31 @@ class MalleableTask:
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
+    @classmethod
+    def _from_checked(
+        cls,
+        name: str,
+        times: np.ndarray,
+        works: np.ndarray,
+        monotonic: bool,
+        release: float,
+    ) -> "MalleableTask":
+        """A task over rows the caller has already checked.
+
+        The bulk parser of :meth:`Instance.from_dict
+        <repro.model.instance.Instance.from_dict>` checks a whole payload
+        in one numpy pass and hands each task read-only row views of its
+        ``times``/``works`` matrices, with the monotonic flag and the
+        release already computed exactly as :meth:`__init__` would.
+        """
+        task = cls.__new__(cls)
+        task._name = name
+        task._times = times
+        task._works = works
+        task._monotonic = monotonic
+        task._release = release
+        return task
+
     @staticmethod
     def _check_monotonic(times: np.ndarray, works: np.ndarray) -> bool:
         """Return True when the profile satisfies both monotonic conditions."""

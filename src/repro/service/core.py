@@ -26,10 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from ..exceptions import ModelError, ServiceOverloadedError
-from ..model.instance import Instance, profile_fingerprint
+from ..model.instance import Instance, parse_profiles, profile_fingerprint
 from ..obs.health import evaluate_health
 from ..obs.histogram import LatencyHistogram
 from ..obs.names import SPAN_BATCH_COMPUTE, SPAN_CACHE_LOOKUP, SPAN_QUEUE_WAIT
@@ -102,41 +100,21 @@ class ScheduleRequest:
 def payload_fingerprint(payload: dict) -> str | None:
     """Fingerprint an ``Instance.as_dict`` payload without building it.
 
-    Mirrors :meth:`Instance.fingerprint` exactly for well-formed payloads
-    (the constructor truncates every profile to ``num_procs`` columns, so the
-    same truncation is applied here), including the optional per-task
-    ``"release"`` times of online traces — a trace must never share a cache
-    key with its release-free twin.  Returns ``None`` when the payload does
-    not have the expected shape — callers then fall back to full
-    :meth:`Instance.from_dict` construction, which raises the proper
-    :class:`~repro.exceptions.ModelError`.
+    Checks the payload with :func:`~repro.model.instance.parse_profiles`,
+    the same bulk pass :meth:`Instance.from_dict` uses, so a digest is
+    returned exactly for the payloads that pass it, and it equals
+    ``Instance.from_dict(payload).fingerprint()``.  That covers the
+    truncation to ``num_procs`` columns, the checks past that column (a
+    payload must not 400 on a cold cache yet hit on a warm one) and the
+    optional per-task ``"release"`` times of online traces (a trace must
+    never share a cache key with its release-free twin).  Returns ``None``
+    otherwise; callers then fall back to full :meth:`Instance.from_dict`
+    construction, which raises the proper error.
     """
-    try:
-        m = int(payload["num_procs"])
-        tasks = payload["tasks"]
-        if m < 1 or not isinstance(tasks, list) or not tasks:
-            return None
-        rows = []
-        releases = []
-        for task in tasks:
-            times = task["times"]
-            if not isinstance(times, (list, tuple)) or len(times) < m:
-                return None
-            # Validate the FULL profile (as MalleableTask would), not just
-            # the truncated columns: otherwise a payload with garbage beyond
-            # column m would 400 on a cold cache yet 200 on a warm one.
-            full = np.asarray(times, dtype=float)
-            if full.ndim != 1 or not np.all(np.isfinite(full)) or np.any(full <= 0):
-                return None
-            release = float(task.get("release", 0.0))
-            if not np.isfinite(release) or release < 0.0:
-                return None
-            rows.append(full[:m])
-            releases.append(release)
-        matrix = np.asarray(rows, dtype=float)
-    except (KeyError, TypeError, ValueError):
+    parsed = parse_profiles(payload)
+    if parsed is None:
         return None
-    return profile_fingerprint(m, matrix, np.asarray(releases, dtype=float))
+    return profile_fingerprint(parsed.num_procs, parsed.times, parsed.releases)
 
 
 def request_from_payload(payload: dict) -> ScheduleRequest:

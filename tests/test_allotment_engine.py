@@ -314,6 +314,17 @@ class TestInstancePickling:
         assert clone.engine.cache_info()["size"] == 0
         assert clone.canonical_procs(2.0) == instance.canonical_procs(2.0)
 
+    def test_time_rows_are_dropped_on_pickle_and_rebuilt(self):
+        import pickle
+
+        instance = make_workload("uniform", 10, 6, seed=5)
+        rows = instance.time_rows()
+        assert rows == instance.times_matrix.tolist()
+        assert instance.time_rows() is rows
+        clone = pickle.loads(pickle.dumps(instance))
+        assert clone._time_rows is None
+        assert clone.time_rows() == rows
+
 
 class TestParallelDeterminism:
     @staticmethod
@@ -598,3 +609,20 @@ class TestThreadSafety:
         assert all(result == expected for result in results)
         info = shared.cache_info()
         assert info["hits"] + info["misses"] == 8 * 3 * len(deadlines)
+
+    def test_cache_info_waits_for_the_lock(self):
+        """``cache_info`` reads the counters ``gamma`` updates under the
+        lock, so it must wait for the lock too: a snapshot taken mid-update
+        could pair the hits of one moment with the size of another."""
+        instance = make_workload("mixed", 8, 4, seed=1)
+        engine = AllotmentEngine(instance.times_matrix, instance.works_matrix)
+        engine.gamma(instance.lower_bound())
+        snapshots: list[dict] = []
+        reader = threading.Thread(target=lambda: snapshots.append(engine.cache_info()))
+        with engine._lock:
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and snapshots == []
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert snapshots == [{"hits": 0, "misses": 1, "size": 1, "maxsize": engine._cache_size}]

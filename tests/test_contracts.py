@@ -18,7 +18,7 @@ retired in-house linter:
   ``ALGORITHMS`` and checks it has its own ``name`` and a ``schedule``
   method.
 * ``TestLockDiscipline`` (was RL004) is a small ``ast`` audit of the
-  service layer: an attribute a class reads or writes under
+  service layer and the allotment engine: an attribute a class reads or writes under
   ``with self.<lock>:`` somewhere, and writes after construction, must not
   be touched outside a lock scope elsewhere.  The ``ClusterSupervisor._closed``
   race was found this way.
@@ -281,11 +281,12 @@ def _self_attr(node: ast.AST) -> str | None:
     return None
 
 
-def _accesses(method: ast.FunctionDef, locks: set[str]) -> list[tuple]:
+def _accesses(method: ast.FunctionDef, locks: set[str], held: bool) -> list[tuple]:
     """``(attr, line, locked, is_write)`` for each ``self.attr`` in ``method``.
 
     Nested functions and lambdas are skipped: the lock state when they
     run is unknown.  A call to a mutating method counts as a write.
+    ``held`` marks a method whose callers hold the lock.
     """
     found: list[tuple] = []
 
@@ -328,18 +329,20 @@ def _accesses(method: ast.FunctionDef, locks: set[str]) -> list[tuple]:
             visit(child, locked)
 
     for stmt in method.body:
-        visit(stmt, False)
+        visit(stmt, held)
     return found
 
 
-def lock_violations(source: str) -> list[str]:
+def lock_violations(source: str, held: frozenset[str] = frozenset()) -> list[str]:
     """Every unlocked access to a lock-guarded attribute in ``source``.
 
     A lock is any ``self`` attribute whose name contains ``lock`` and that
     is assigned or used in a ``with``.  An attribute is guarded when some
     method touches it under a lock and some method other than ``__init__``
     writes it.  ``__init__`` itself is exempt: construction happens before
-    the object is shared.
+    the object is shared.  The methods named ``Class.method`` in ``held``
+    are only called with the lock held, so their whole body counts as
+    locked.
     """
     violations = []
     for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
@@ -355,7 +358,11 @@ def lock_violations(source: str) -> list[str]:
         methods = [
             s for s in cls.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
-        accesses = [(m.name, *a) for m in methods for a in _accesses(m, locks)]
+        accesses = [
+            (m.name, *a)
+            for m in methods
+            for a in _accesses(m, locks, f"{cls.name}.{m.name}" in held)
+        ]
         under_lock = {attr for _, attr, _, locked, _ in accesses if locked}
         written_late = {
             attr for name, attr, _, _, write in accesses if write and name != "__init__"
@@ -370,13 +377,47 @@ def lock_violations(source: str) -> list[str]:
     return violations
 
 
+#: Modules under the lock audit: the service layer, whose objects serve
+#: concurrent connections, and the allotment engine, which the experiment
+#: runner's thread fallback shares across threads.
+LOCK_AUDITED = sorted(
+    p.relative_to(SRC).as_posix() for p in (SRC / "service").rglob("*.py")
+) + ["core/allotment_engine.py"]
+
+#: Methods whose docstring says the caller holds the lock.
+CALLER_HOLDS_LOCK = frozenset({"AllotmentEngine._piece_number"})
+
+
 class TestLockDiscipline:
-    @pytest.mark.parametrize(
-        "path",
-        sorted(p.relative_to(SRC).as_posix() for p in (SRC / "service").rglob("*.py")),
-    )
-    def test_service_module_touches_guarded_attributes_under_their_lock(self, path):
-        assert lock_violations((SRC / path).read_text()) == []
+    @pytest.mark.parametrize("path", LOCK_AUDITED)
+    def test_module_touches_guarded_attributes_under_their_lock(self, path):
+        assert lock_violations((SRC / path).read_text(), CALLER_HOLDS_LOCK) == []
+
+    def test_a_caller_held_lock_covers_the_whole_method(self):
+        source = """
+            import threading
+
+            class Svc:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._count = 0
+
+                def incr(self):
+                    with self._lock:
+                        self._bump()
+
+                def _bump(self):
+                    self._count += 1
+
+                def read(self):
+                    with self._lock:
+                        return self._count
+        """
+        source = textwrap.dedent(source)
+        assert lock_violations(source) == [
+            "Svc._bump line 14: '_count' written outside its lock"
+        ]
+        assert lock_violations(source, frozenset({"Svc._bump"})) == []
 
     def test_unlocked_read_of_a_guarded_counter_is_flagged(self):
         source = """

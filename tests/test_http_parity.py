@@ -39,6 +39,20 @@ TINY_INSTANCE = {
     ],
 }
 
+#: A third task, bad in one field, after two good ones (raw JSON: ``1e999``
+#: decodes to an infinite time).  The 400 must name it on both frontends.
+BAD_LATER_TASKS = [
+    ("nonfinite-time", '{"name": "T2", "times": [1e999, 1.0]}'),
+    ("nonpositive-time", '{"name": "T2", "times": [2.0, 0.0]}'),
+    ("negative-release", '{"name": "T2", "times": [2.0, 1.0], "release": -1.0}'),
+]
+
+
+def with_bad_later_task(bad_task: str) -> str:
+    good = ", ".join(json.dumps(task) for task in TINY_INSTANCE["tasks"])
+    return f'{{"num_procs": 2, "tasks": [{good}, {bad_task}]}}'
+
+
 #: (name, method, target, body) — every deterministic shared path: the
 #: error surface of both apps plus the disabled-shutdown 403.
 ERROR_REQUESTS = [
@@ -73,6 +87,20 @@ ERROR_REQUESTS = [
         )
         for label, eps in (("negative", -1), ("zero", 0), ("string", "x"))
     ],
+    *[
+        (f"{path[1:]}-third-task-{label}", "POST", path,
+         f'{{"{key}": {with_bad_later_task(task)}}}'.encode())
+        for path, key in (("/schedule", "instance"), ("/replay", "trace"))
+        for label, task in BAD_LATER_TASKS
+    ],
+    # Payloads the fast fingerprint used to take although the instance
+    # cannot be built: they answered 500 from the compute path.
+    ("schedule-task-without-name", "POST", "/schedule", json.dumps(
+        {"instance": {"num_procs": 2, "tasks": [{"times": [2.0, 1.0]}]}}
+    ).encode()),
+    ("schedule-string-num-procs", "POST", "/schedule", json.dumps(
+        {"instance": {**TINY_INSTANCE, "num_procs": "2"}}
+    ).encode()),
     ("purge-not-json", "POST", "/purge", b"not json"),
     ("shutdown-disabled", "POST", "/shutdown", b"{}"),
     ("unknown-method", "PUT", "/healthz", b""),
@@ -158,6 +186,17 @@ class TestDaemonRouterParity:
             results[which] = (status, comparable(headers), payload)
         assert results["daemon"] == results["router"]
         assert 400 <= results["router"][0] < 500, results["router"]
+
+    @pytest.mark.parametrize(
+        "name,method,target,body",
+        [r for r in ERROR_REQUESTS if "-third-task-" in r[0]],
+        ids=[r[0] for r in ERROR_REQUESTS if "-third-task-" in r[0]],
+    )
+    def test_a_bad_later_task_is_named(self, daemon_and_router, name, method, target, body):
+        server, _ = daemon_and_router
+        status, _, payload = exchange(server.server_address[:2], method, target, body)
+        assert status == 400
+        assert b"task 'T2': " in payload, payload
 
     def test_schedule_success_identical_modulo_elapsed(self, daemon_and_router):
         server, cluster = daemon_and_router

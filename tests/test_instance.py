@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Instance, MalleableTask, ModelError
+from repro.model.instance import parse_profiles
+from repro.service import payload_fingerprint
 
 
 def make_tasks(m: int = 4) -> list[MalleableTask]:
@@ -248,3 +250,118 @@ class TestSerializationBitExact:
         clone = Instance.from_json(inst.to_json())
         assert clone.times_matrix.tobytes() == inst.times_matrix.tobytes()
         assert clone.fingerprint() == inst.fingerprint()
+
+
+# ---------------------------------------------------------------------- #
+# bulk ingest against the per-task path
+# ---------------------------------------------------------------------- #
+#: Ways a payload can be shaped; only "valid" must take the bulk path.
+INGEST_KINDS = (
+    "valid", "ragged", "bad-time", "release", "string-times", "missing-name",
+    "missing-times", "scalar-times", "num-procs", "no-tasks",
+)
+BAD_TIMES = (float("nan"), float("inf"), float("-inf"), 0.0, -1.0, -0.0)
+RELEASES = (2.5, 0, 0.0, -0.0, -1.0, float("nan"), float("inf"), "x", "1.5", None, True, [1.0])
+
+
+def per_task(payload: dict) -> Instance:
+    """The per-task construction the bulk parser must reproduce."""
+    tasks = [MalleableTask.from_dict(t) for t in payload["tasks"]]
+    return Instance(tasks, payload["num_procs"], name=payload.get("name", "instance"))
+
+
+def built(make, payload):
+    """The instance ``make`` builds, or the type and text of its error."""
+    try:
+        return make(payload)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def ingest_payloads(draw, kind):
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=5))
+    width = m + draw(st.integers(min_value=0, max_value=2))  # rows past num_procs
+    time = st.floats(min_value=0.01, max_value=100.0)
+    tasks = []
+    for i in range(n):
+        row = draw(st.lists(time, min_size=width, max_size=width))
+        if draw(st.booleans()):
+            row = MalleableTask.monotonic_envelope("x", row).times.tolist()
+        task = {"name": f"T{i}", "times": row}
+        if draw(st.booleans()):
+            task["release"] = draw(st.sampled_from([0.0, 1.0, 3.25, 7]))
+        tasks.append(task)
+    payload = {"num_procs": m, "tasks": tasks}
+    if draw(st.booleans()):
+        payload["name"] = draw(st.sampled_from(["trace", 7]))
+    victim = tasks[draw(st.integers(min_value=0, max_value=n - 1))]
+    column = draw(st.integers(min_value=0, max_value=width - 1))
+    if kind == "ragged":
+        row = victim["times"]
+        victim["times"] = draw(st.sampled_from([row[:-1], row + [row[-1]]]))
+    elif kind == "bad-time":
+        victim["times"][column] = draw(st.sampled_from(BAD_TIMES))
+    elif kind == "release":
+        victim["release"] = draw(st.sampled_from(RELEASES))
+    elif kind == "string-times":
+        victim["times"] = [repr(t) for t in victim["times"]]
+    elif kind == "missing-name":
+        del victim["name"]
+    elif kind == "missing-times":
+        del victim["times"]
+    elif kind == "scalar-times":
+        victim["times"] = victim["times"][0]
+    elif kind == "num-procs":
+        payload["num_procs"] = draw(
+            st.sampled_from([0, -1, width + 1, float(m), str(m), True, None])
+        )
+    elif kind == "no-tasks":
+        payload["tasks"] = []
+    return payload
+
+
+def test_from_dict_takes_a_one_shot_task_iterator():
+    # JSON never yields one, but the per-task path has always taken any
+    # iterable of tasks; the bulk pass must not half-consume it.
+    tasks = [{"name": "a", "times": [2.0, 1.0]}, {"name": "b", "times": [3.0, 2.0]}]
+    instance = Instance.from_dict({"num_procs": 2, "tasks": iter(tasks)})
+    assert instance.to_json() == per_task({"num_procs": 2, "tasks": tasks}).to_json()
+
+
+class TestBulkIngest:
+    """``Instance.from_dict`` (bulk parser first) against the per-task path.
+
+    Every payload must build equal tasks on both paths or raise the same
+    exception with the same message, and a digest from
+    ``payload_fingerprint`` must be the built instance's fingerprint.
+    """
+
+    @pytest.mark.parametrize("kind", INGEST_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_path_builds_what_the_per_task_path_builds(self, kind, data):
+        payload = data.draw(ingest_payloads(kind))
+        reference = built(per_task, payload)
+        instance = built(Instance.from_dict, payload)
+        digest = payload_fingerprint(payload)
+        if kind == "valid":
+            assert parse_profiles(payload) is not None
+        if isinstance(reference, tuple):
+            assert instance == reference
+            assert digest is None
+            return
+        assert instance.num_procs == reference.num_procs
+        assert instance.name == reference.name
+        for got, want in zip(instance.tasks, reference.tasks, strict=True):
+            assert got._name == want._name
+            assert got._monotonic is want._monotonic
+            assert repr(got._release) == repr(want._release)
+            for a, b in ((got._times, want._times), (got._works, want._works)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+        assert instance.to_json() == reference.to_json()
+        assert instance.fingerprint() == reference.fingerprint()
+        assert digest is None or digest == reference.fingerprint()

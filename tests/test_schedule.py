@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from test_property_based import instances
 
 from repro import Instance, InvalidScheduleError, MalleableTask, ModelError, Schedule
+from repro.registry import ALGORITHMS, make_scheduler
 
 
 @pytest.fixture
@@ -221,3 +228,145 @@ class TestCachedMakespan:
         expected = sched.makespan()
         clone = Schedule.from_dict(inst, sched.as_dict())
         assert clone.makespan() == expected
+
+
+# ---------------------------------------------------------------------- #
+# the one-pass verdict against the check-by-check loop
+# ---------------------------------------------------------------------- #
+#: Ways to break a valid schedule, each aimed at one check; ``none`` and a
+#: tol/2 ``touch`` leave it valid unless the moved entry lands on a third.
+MUTANTS = (
+    "none", "overlap", "touch", "duration", "past-machine", "before-machine",
+    "no-procs", "float-procs", "missing", "duplicate", "negative-index",
+    "index-out-of-range", "negative-start", "non-finite", "release",
+)
+
+#: Mutants the verdict leaves to the loop: the loop indexes tasks
+#: Python-style, and its sort order is undefined once a time is NaN.
+DEFERRED = frozenset({"negative-index", "non-finite"})
+
+
+def outcome(check, **kwargs):
+    """``None`` when ``check`` passes, else the exception's type and text."""
+    try:
+        check(**kwargs)
+    except Exception as exc:  # IndexError too: the loop indexes tasks directly
+        return type(exc), str(exc)
+    return None
+
+
+def mutate(entries, kind, m, n, tol, pick):
+    """``entries`` broken as ``kind`` says, at the entry ``pick`` selects."""
+    entries = list(entries)
+    i = pick % len(entries)
+    e = entries[i]
+    if kind == "overlap" or kind == "touch":
+        # Another entry moved to start 2·tol (or tol/2) before ``e`` ends,
+        # on a block that shares ``e``'s first processor.
+        assume(len(entries) >= 2)
+        j = (i + 1) % len(entries)
+        f = entries[j]
+        gap = 2 * tol if kind == "overlap" else tol / 2
+        first = min(e.first_proc, m - f.num_procs)
+        entries[j] = dataclasses.replace(f, start=e.end - gap, first_proc=first)
+    elif kind == "duration":
+        entries[i] = dataclasses.replace(e, duration=e.duration + 2 * tol * max(1.0, e.duration))
+    elif kind == "past-machine":
+        entries[i] = dataclasses.replace(e, first_proc=m - e.num_procs + 1)
+    elif kind == "before-machine":
+        entries[i] = dataclasses.replace(e, first_proc=-1)
+    elif kind == "no-procs":
+        entries[i] = dataclasses.replace(e, num_procs=0)
+    elif kind == "float-procs":
+        entries[i] = dataclasses.replace(e, num_procs=float(e.num_procs))
+    elif kind == "missing":
+        del entries[i]
+    elif kind == "duplicate":
+        # After every other entry, so no overlap hides the duplicate.
+        later = max(x.end for x in entries) + 1.0
+        entries.append(dataclasses.replace(e, start=later))
+    elif kind == "negative-index":
+        entries[i] = dataclasses.replace(e, task_index=-1 - pick % n)
+    elif kind == "index-out-of-range":
+        entries[i] = dataclasses.replace(e, task_index=n)
+    elif kind == "negative-start":
+        entries[i] = dataclasses.replace(e, start=-2 * tol)
+    elif kind == "non-finite":
+        value = (math.nan, math.inf)[pick % 2]
+        entries[i] = dataclasses.replace(e, **{("start", "duration")[pick // 2 % 2]: value})
+    return entries
+
+
+class TestOnePassVerdict:
+    """``Schedule._passes`` against the loop it short-cuts.
+
+    The loop (``_raise_first_violation``) is the reference.  Over valid
+    schedules from every registered scheduler and over mutants of them,
+    ``validate()`` must fail exactly when the loop fails, with its exact
+    exception and message, and the verdict must pass exactly when the loop
+    passes, except on the :data:`DEFERRED` mutants, which the verdict
+    leaves to the loop.
+    """
+
+    @pytest.mark.parametrize("kind", MUTANTS)
+    @given(
+        inst=instances(),
+        algorithm=st.sampled_from(sorted(ALGORITHMS)),
+        pick=st.integers(min_value=0, max_value=50),
+        release_slack=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=6, max_size=6),
+        require_complete=st.booleans(),
+        respect_release=st.booleans(),
+        deadline_kind=st.sampled_from([None, "above", "below"]),
+        tol=st.sampled_from([1e-6, 1e-3]),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_verdict_agrees_with_the_loop(
+        self, kind, inst, algorithm, pick, release_slack, require_complete,
+        respect_release, deadline_kind, tol,
+    ):
+        base = make_scheduler(algorithm).schedule(inst)
+        base.validate()
+        n, m = inst.num_tasks, inst.num_procs
+        entries = sorted(base.entries, key=lambda e: e.task_index)
+        # Releases at or before each start, except the ``release`` mutant's
+        # task, released 2·tol after its start.
+        releases = [
+            max(0.0, e.start - slack) for e, slack in zip(entries, release_slack)
+        ]
+        if kind == "release":
+            victim = pick % n
+            releases[victim] = entries[victim].start + 2 * tol
+        released = inst.with_releases(releases)
+        schedule = Schedule(released, algorithm=base.algorithm)
+        schedule.extend(mutate(entries, kind, m, n, tol, pick))
+        deadline = {
+            None: None,
+            "above": base.makespan() + tol / 2,
+            "below": base.makespan() - 2 * tol,
+        }[deadline_kind]
+        options = dict(
+            require_complete=require_complete,
+            deadline=deadline,
+            respect_release=respect_release,
+            tol=tol,
+        )
+        reference = outcome(schedule._raise_first_violation, **options)
+        assert outcome(schedule.validate, **options) == reference
+        verdict = schedule._passes(require_complete, deadline, respect_release, tol)
+        if kind in DEFERRED:
+            assert not verdict
+        else:
+            assert verdict == (reference is None)
+        caught = {
+            "overlap": True, "duration": True, "past-machine": True,
+            "before-machine": True, "no-procs": True, "float-procs": True,
+            "duplicate": True, "index-out-of-range": True,
+            "negative-start": True, "missing": require_complete,
+            "negative-index": require_complete, "release": respect_release,
+        }.get(kind, False)
+        if kind == "none":
+            # Releases never exceed the starts here, so only the deadline bites.
+            caught = deadline_kind == "below"
+            assert (reference is not None) == caught
+        elif caught:
+            assert reference is not None

@@ -163,6 +163,53 @@ class TestFingerprint:
             payload_fingerprint({"num_procs": 1, "tasks": [{"times": [-1.0]}]}) is None
         )
 
+    def test_payload_fingerprint_long_rows_match_instance(self):
+        payload = {
+            "num_procs": 2,
+            "tasks": [
+                {"name": "a", "times": [4.0, 2.0, 1.5, 1.25]},
+                {"name": "b", "times": [3.0, 2.5, 2.0, 1.75]},
+            ],
+        }
+        assert payload_fingerprint(payload) == Instance.from_dict(payload).fingerprint()
+
+    def test_payload_fingerprint_releases_match_instance(self):
+        payload = {
+            "num_procs": 2,
+            "tasks": [
+                {"name": "a", "times": [4.0, 2.0, 1.5], "release": 0.0},
+                {"name": "b", "times": [3.0, 2.5, 2.0], "release": 1.5},
+                {"name": "c", "times": [2.0, 1.5, 1.0], "release": "2.25"},
+            ],
+        }
+        digest = payload_fingerprint(payload)
+        assert digest == Instance.from_dict(payload).fingerprint()
+        release_free = {
+            "num_procs": 2,
+            "tasks": [{k: v for k, v in t.items() if k != "release"} for t in payload["tasks"]],
+        }
+        assert payload_fingerprint(release_free) != digest
+        for bad in (-1.0, float("nan"), "x"):
+            payload["tasks"][1]["release"] = bad
+            assert payload_fingerprint(payload) is None
+            with pytest.raises(ModelError):
+                request_from_payload({"instance": payload})
+
+    def test_payload_fingerprint_declines_ragged_rows(self):
+        # Ragged rows wide enough for the machine are a valid instance, but
+        # not one the bulk pass takes: the request still gets the instance's
+        # fingerprint, through full construction.
+        payload = {
+            "num_procs": 2,
+            "tasks": [
+                {"name": "a", "times": [4.0, 2.0, 1.5]},
+                {"name": "b", "times": [3.0, 2.5]},
+            ],
+        }
+        assert payload_fingerprint(payload) is None
+        request = request_from_payload({"instance": payload})
+        assert request.cache_key()[0] == Instance.from_dict(payload).fingerprint()
+
     def test_payload_fingerprint_validates_beyond_truncation(self):
         # Garbage past column m must disqualify the fast path — otherwise the
         # payload would 400 on a cold cache but hit (200) on a warm one.
