@@ -22,9 +22,9 @@ benchmark bars are tier-1 tests: the 256-connection transport soak in
 ``tests/test_transport.py``; the allotment engine's >= 3x cached replay in
 ``tests/test_allotment_engine.py::TestMemoization`` and EXP-A's
 ``workers=4`` determinism in ``TestParallelDeterminism`` there; the online
-kernels' <= 2x clairvoyant-offline bar in
-``tests/test_online_differential.py::TestClairvoyantRatio`` (flow dominance
-in ``TestFlowDominance``); the warm plan-cache replay's >= 1.2x speedup in
+kernel's <= 2x clairvoyant-offline bar in
+``tests/test_online_differential.py::TestClairvoyantRatio``; the warm
+plan-cache replay's >= 1.2x speedup in
 ``tests/test_replay_streaming.py::TestPlanCacheByteIdentity``; and the
 cluster re-run's plan-cache hits in
 ``tests/test_cluster.py::TestClusterEndToEnd``.

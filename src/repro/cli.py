@@ -28,7 +28,7 @@ from .analysis.metrics import evaluate_schedule
 from .core import theory
 from .exceptions import ModelError
 from .model.instance import Instance
-from .registry import ALGORITHMS, ONLINE_KERNELS, make_rescheduler, make_scheduler
+from .registry import ALGORITHMS, make_rescheduler, make_scheduler
 from .scheduler import Scheduler
 from .workloads.arrivals import ARRIVAL_PATTERNS, make_trace
 from .workloads.generators import WORKLOAD_FAMILIES, make_workload
@@ -106,13 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reschedule as soon as the machine drains)",
     )
     rep.add_argument("--algorithm", default="mrt", choices=sorted(ALGORITHMS))
-    rep.add_argument(
-        "--kernel",
-        default="barrier",
-        choices=sorted(ONLINE_KERNELS),
-        help="replay kernel: 'barrier' drains the machine between epochs, "
-        "'availability' starts new work in the remaining capacity",
-    )
     rep.add_argument(
         "--validate",
         action="store_true",
@@ -299,7 +292,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         rescheduler = (
             None
             if args.url
-            else make_rescheduler(args.kernel, args.algorithm, quantum=args.quantum)
+            else make_rescheduler(algorithm=args.algorithm, quantum=args.quantum)
         )
     except ModelError as exc:
         raise SystemExit(str(exc))
@@ -307,7 +300,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(
         f"trace: {trace.num_tasks} tasks, m={trace.num_procs}, "
         f"arrival span {float(releases.max() - releases.min()):.4g}, "
-        f"kernel={args.kernel}, algorithm={args.algorithm}, "
+        f"algorithm={args.algorithm}, "
         f"quantum={'event-driven' if not args.quantum else f'{args.quantum:g}'}"
     )
 
@@ -317,7 +310,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         try:
             final = ServiceClient(args.url).replay(
                 trace=trace,
-                kernel=args.kernel,
                 algorithm=args.algorithm,
                 quantum=args.quantum,
                 validate=args.validate,

@@ -212,27 +212,6 @@ class Schedule:
                 finish[proc] = max(finish[proc], entry.end)
         return finish
 
-    def busy_until(self, at: float = 0.0) -> np.ndarray:
-        """Per-processor availability query: when each processor frees up.
-
-        ``busy_until(at)[p]`` is the earliest time ``>= at`` at which
-        processor ``p`` has no scheduled work left — the latest end among
-        the entries on ``p`` still unfinished at ``at``, floored at ``at``
-        (a processor with nothing left reads as free *now*).  Holes between
-        stacked entries are deliberately ignored: the query answers "when is
-        this processor handed back for good", which is what the online
-        availability kernel needs to stitch new work after the carry-over
-        (:mod:`repro.online.availability`).  ``busy_until(0.0)`` coincides
-        with :meth:`processor_finish_times`.
-        """
-        busy = np.full(self._instance.num_procs, float(at))
-        for entry in self._entries:
-            if entry.end <= at:
-                continue
-            for proc in entry.procs:
-                busy[proc] = max(busy[proc], entry.end)
-        return busy
-
     # ------------------------------------------------------------------ #
     # validation
     # ------------------------------------------------------------------ #
@@ -287,9 +266,8 @@ class Schedule:
         processor's latest end, and an entry starting more than ``tol``
         before it overlaps.  That finds an overlap exactly when the loop's
         sorted per-processor pairs do.  ``False`` also stands for "let the
-        loop decide": a task index outside ``0..n-1`` (the loop indexes
-        tasks Python-style), a non-finite start or duration (the loop's sort
-        order is then undefined) and an ill-typed field.
+        loop word it": a task index outside ``0..n-1``, a non-finite start
+        or end, and an ill-typed field.
         """
         instance = self._instance
         rows = instance.time_rows()
@@ -341,9 +319,22 @@ class Schedule:
     ) -> None:
         """Check each constraint in turn; raise on the first violation."""
         m = self._instance.num_procs
+        n = self._instance.num_tasks
         seen: dict[int, int] = {}
         for entry in self._entries:
+            # The index and the times first: a negative index would wrap to
+            # a real task, and a non-finite time would sort and compare as
+            # if it were valid.
+            if not 0 <= entry.task_index < n:
+                raise InvalidScheduleError(
+                    f"task index {entry.task_index} outside 0..{n - 1}"
+                )
             task = self._instance.tasks[entry.task_index]
+            if not (math.isfinite(entry.start) and math.isfinite(entry.end)):
+                raise InvalidScheduleError(
+                    f"task {task.name!r} runs over non-finite times "
+                    f"[{entry.start}, {entry.end})"
+                )
             seen[entry.task_index] = seen.get(entry.task_index, 0) + 1
             if entry.start < -tol:
                 raise InvalidScheduleError(

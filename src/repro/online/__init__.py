@@ -1,32 +1,20 @@
-"""Online-arrival scheduling: replay kernels over arrival traces.
+"""Online-arrival scheduling: the epoch replay kernel over arrival traces.
 
 The paper's dual-approximation scheduler is defined for a fixed offline task
 set.  This subsystem opens the *online* workload class real clusters face:
-tasks are released over time (``MalleableTask.release_time``) and a replay
-kernel (:data:`repro.registry.ONLINE_KERNELS`) reschedules the pending set
-with any registry algorithm, stitching the per-epoch schedules into one
-validated timeline.
+tasks are released over time (``MalleableTask.release_time``) and the replay
+kernel reschedules the pending set with any registry algorithm, stitching
+the per-epoch schedules into one validated timeline.
 
 * :mod:`repro.online.epoch` — the ``"barrier"`` kernel: a batch owns the
   whole machine until it drains (the paper's guarantee applies batch-wise);
-* :mod:`repro.online.availability` — the ``"availability"`` kernel: the
-  machine-availability staircase plus partial-machine carry-over (new work
-  starts in the remaining capacity, no barrier);
-* :mod:`repro.online.baselines` — arrival-by-arrival baselines (online list
-  scheduling, First-Fit by arrival) for the competitive-ratio table;
+* :mod:`repro.online.plancache` — content-addressed per-epoch batch plans;
 * :mod:`repro.online.replay` — the service/CLI integration layer
   (``POST /replay`` payloads, response shaping);
 * :mod:`repro.workloads.arrivals` — Poisson / burst / diurnal / Pareto
   arrival-trace generators over the existing workload families.
 """
 
-from .availability import AvailabilityProfile, AvailabilityRescheduler
-from .baselines import (
-    arrival_allotment,
-    first_fit_replay,
-    flow_summary,
-    online_list_replay,
-)
 from .epoch import EpochReport, EpochRescheduler, ReplayResult
 from .plancache import CachedPlan, PlanCache
 from .replay import (
@@ -36,18 +24,12 @@ from .replay import (
 )
 
 __all__ = [
-    "AvailabilityProfile",
-    "AvailabilityRescheduler",
     "CachedPlan",
     "EpochReport",
     "EpochRescheduler",
     "PlanCache",
     "ReplayResult",
-    "arrival_allotment",
     "compute_replay_response",
-    "first_fit_replay",
-    "flow_summary",
     "iter_replay_frames",
-    "online_list_replay",
     "replay_from_payload",
 ]

@@ -28,6 +28,7 @@ paper (√3 for MRT) applies batch-wise to the stitched timeline.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -123,11 +124,7 @@ class EpochReport:
     num_tasks:
         Number of pending tasks scheduled in this epoch.
     makespan:
-        Length of the epoch's committed work: the barrier kernel commits
-        whole batches, so this is the batch's offline makespan; the
-        availability kernel reports the committed span ``end - start``
-        (deferred entries are counted by the epoch that finally commits
-        them).
+        The batch's offline makespan (the kernel commits whole batches).
     waiting:
         Mean time the batch's tasks spent between release and epoch start.
     compute_ms:
@@ -180,10 +177,8 @@ class ReplayResult:
     epochs: list[EpochReport] = field(default_factory=list)
     quantum: float | None = None
     algorithm: str = "mrt"
-    #: Which online kernel produced the timeline (``"barrier"`` or
-    #: ``"availability"`` — see :data:`repro.registry.ONLINE_KERNELS`).  Both
-    #: kernels return this same class with the same field shapes; the
-    #: differential suite pins that invariant.
+    #: The online kernel that produced the timeline, echoed as the
+    #: ``"kernel"`` metric of ``POST /replay``.
     kernel: str = "barrier"
 
     @property
@@ -288,8 +283,11 @@ class EpochRescheduler:
         scheduler: Scheduler | None = None,
         plan_cache: PlanCache | None = None,
     ) -> None:
-        if quantum is not None and quantum < 0:
-            raise ModelError("quantum must be non-negative (or None)")
+        if quantum is not None:
+            if not math.isfinite(quantum):
+                raise ModelError(f"quantum must be finite (or None), got {quantum}")
+            if quantum < 0:
+                raise ModelError("quantum must be non-negative (or None)")
         self.algorithm = algorithm
         self.params = dict(params or {})
         self.quantum = None if not quantum else float(quantum)

@@ -14,9 +14,8 @@ The batch fingerprint already covers processor count, release dates and the
 full execution-time profiles in *task order*, and the offline schedulers
 tie-break by task index — so the key is deliberately order-sensitive: two
 batches with the same tasks in a different order are different plans.  The
-kernel (``barrier``/``availability``) is **not** part of the key: both
-kernels call the same offline scheduler per batch, so sharing plans across
-kernels is safe and is exactly what makes a shard warm for both.  The
+replay kernel is **not** part of the key: a plan is the offline
+scheduler's answer for one batch, whatever replays it.  The
 ``(trace-prefix, kernel)`` pair is the cluster's *routing* key (see
 :func:`repro.service.cluster.router.replay_routing_key`), not the plan key.
 

@@ -10,8 +10,8 @@ stream back:
     ``"trace"`` is an :meth:`Instance.as_dict` payload (tasks may carry
     ``"release"``); a ``"generate"`` spec draws a synthetic trace from
     :mod:`repro.workloads.arrivals` (``{"pattern", "family", "tasks",
-    "procs", "seed", ...}``); ``"kernel"`` selects the replay kernel from
-    :data:`repro.registry.ONLINE_KERNELS` (default ``"barrier"``).
+    "procs", "seed", ...}``); ``"kernel"`` may only name ``"barrier"``,
+    the default.
 ``compute_replay_response``
     Run the replay and build the JSON-serialisable response: the summary
     metrics, the per-epoch reports, the stitched schedule, the trace
@@ -39,7 +39,6 @@ from ..model.instance import Instance
 from ..registry import make_rescheduler
 from ..sim.validate import simulate_and_check
 from ..workloads.arrivals import ARRIVAL_PATTERNS, make_trace
-from .availability import AvailabilityRescheduler
 from .epoch import EpochRescheduler
 
 __all__ = [
@@ -64,7 +63,7 @@ def replay_from_payload(
     payload: dict,
     *,
     plan_cache=None,
-) -> tuple[Instance, EpochRescheduler | AvailabilityRescheduler, bool]:
+) -> tuple[Instance, EpochRescheduler, bool]:
     """Parse a ``POST /replay`` body; raises :class:`ModelError` on bad input.
 
     ``plan_cache`` (an optional :class:`~repro.online.plancache.PlanCache`)
@@ -126,7 +125,7 @@ def replay_from_payload(
 
 def compute_replay_response(
     trace: Instance,
-    rescheduler: EpochRescheduler | AvailabilityRescheduler,
+    rescheduler: EpochRescheduler,
     validate: bool,
     *,
     on_epoch=None,
@@ -166,7 +165,7 @@ _DONE = object()
 
 def iter_replay_frames(
     trace: Instance,
-    rescheduler: EpochRescheduler | AvailabilityRescheduler,
+    rescheduler: EpochRescheduler,
     validate: bool,
     *,
     queue_size: int = 32,

@@ -19,7 +19,7 @@ from .core.mrt import MRTScheduler
 from .exceptions import ModelError
 from .scheduler import Scheduler
 
-__all__ = ["ALGORITHMS", "ONLINE_KERNELS", "make_rescheduler", "make_scheduler"]
+__all__ = ["ALGORITHMS", "make_rescheduler", "make_scheduler"]
 
 #: Algorithm name -> scheduler factory (callable returning a Scheduler).
 ALGORITHMS: dict[str, type | object] = {
@@ -29,15 +29,6 @@ ALGORITHMS: dict[str, type | object] = {
     "sequential": SequentialLPTScheduler,
     "gang": GangScheduler,
 }
-
-#: Online replay kernels (``python -m repro replay --kernel`` and the
-#: ``"kernel"`` key of ``POST /replay``).  ``"barrier"`` is the epoch
-#: rescheduler of :mod:`repro.online.epoch` (a batch owns the whole machine
-#: until it drains); ``"availability"`` schedules into the remaining
-#: capacity (:mod:`repro.online.availability`).  Factories are resolved
-#: lazily by :func:`make_rescheduler` because the online layer imports this
-#: module for its batch kernels.
-ONLINE_KERNELS: tuple[str, ...] = ("availability", "barrier")
 
 
 def make_scheduler(name: str, params: dict | None = None) -> Scheduler:
@@ -68,28 +59,26 @@ def make_rescheduler(
     quantum: float | None = None,
     plan_cache=None,
 ):
-    """Instantiate the online replay kernel registered under ``kernel``.
+    """Instantiate the online replay kernel named ``kernel``.
 
-    ``algorithm``/``params``/``quantum``/``plan_cache`` are forwarded to the
-    kernel's constructor (both kernels share the signature; ``plan_cache``
-    is an optional :class:`~repro.online.plancache.PlanCache` memoising
-    per-epoch batch plans).  Raises
-    :class:`~repro.exceptions.ModelError` on an unknown kernel name, listing
-    the valid choices — the service maps that to a clean 400.
+    ``"barrier"`` (the ``"kernel"`` key of ``POST /replay``) is the one
+    kernel: the epoch rescheduler of :mod:`repro.online.epoch`, where a
+    batch owns the whole machine until it drains.  ``algorithm``/``params``/
+    ``quantum``/``plan_cache`` are forwarded to its constructor
+    (``plan_cache`` is an optional
+    :class:`~repro.online.plancache.PlanCache` memoising per-epoch batch
+    plans).  Raises :class:`~repro.exceptions.ModelError` on any other
+    kernel name, listing the valid choice — the service maps that to a
+    clean 400.
     """
     # Lazy import: repro.online imports this module for its batch kernels.
-    from .online.availability import AvailabilityRescheduler
     from .online.epoch import EpochRescheduler
 
-    # Keyed by each class's own ``kernel`` attribute so the mapping cannot
-    # drift from the classes; a conformance test pins it against
-    # ONLINE_KERNELS (the import-time name list the CLI builds choices from).
-    factories = {
-        cls.kernel: cls for cls in (AvailabilityRescheduler, EpochRescheduler)
-    }
-    factory = factories.get(kernel)
-    if factory is None:
+    if kernel != EpochRescheduler.kernel:
         raise ModelError(
-            f"unknown online kernel {kernel!r}; choose from {sorted(factories)}"
+            f"unknown online kernel {kernel!r}; "
+            f"choose from {[EpochRescheduler.kernel]}"
         )
-    return factory(algorithm, params, quantum=quantum, plan_cache=plan_cache)
+    return EpochRescheduler(
+        algorithm, params, quantum=quantum, plan_cache=plan_cache
+    )

@@ -282,7 +282,6 @@ class ServiceClient:
         trace: Instance | dict | None = None,
         *,
         generate: dict | None = None,
-        kernel: str = "barrier",
         algorithm: str = "mrt",
         params: dict | None = None,
         quantum: float | None = None,
@@ -294,9 +293,9 @@ class ServiceClient:
         ``trace`` may be an :class:`~repro.model.instance.Instance` (tasks
         carrying release times) or its ``as_dict`` payload; alternatively
         pass a ``generate`` spec (``{"pattern", "family", "tasks", "procs",
-        "seed", ...}``) to have the server synthesise the trace.  ``kernel``
-        picks the replay kernel (:data:`repro.registry.ONLINE_KERNELS`):
-        ``"barrier"`` or ``"availability"``.
+        "seed", ...}``) to have the server synthesise the trace.  The body
+        names no ``"kernel"``: the server's one kernel, ``"barrier"``,
+        applies.
 
         The server answers with a chunked NDJSON stream; ``on_epoch`` (if
         given) is called with each epoch's report dict as its frame
@@ -312,7 +311,6 @@ class ServiceClient:
         if (trace is None) == (generate is None):
             raise ValueError("pass exactly one of trace or generate")
         body: dict[str, Any] = {
-            "kernel": kernel,
             "algorithm": algorithm,
             "validate": validate,
         }

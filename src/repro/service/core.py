@@ -307,7 +307,7 @@ class SchedulerService:
         from ..online.plancache import PlanCache
 
         #: Per-epoch batch-plan cache of the streaming ``/replay`` path —
-        #: content-addressed (no TTL), shared across kernels and requests.
+        #: content-addressed (no TTL), shared across requests.
         self.plan_cache = PlanCache(plan_cache_capacity, clock=clock)
         # Purge scheduling runs on the same (injectable) clock as the cache
         # TTL so tests can drive both deterministically.

@@ -58,20 +58,6 @@ class SimulationResult:
             return np.zeros(self.num_procs)
         return self.busy_time / self.makespan
 
-    def busy_until(self, at: float = 0.0) -> np.ndarray:
-        """Per-processor availability as *simulated*: when each processor frees.
-
-        The dynamic counterpart of
-        :meth:`repro.model.schedule.Schedule.busy_until`: derived from the
-        simulated per-processor finish times, floored at ``at``.  The two
-        views agree on every valid schedule (the availability property tests
-        pin this), so divergence signals the same class of bugs
-        :func:`simulate_and_check` hunts.
-        """
-        if self.finish_time is None:
-            return np.full(self.num_procs, float(at))
-        return np.maximum(self.finish_time, float(at))
-
 
 def simulate_schedule(schedule: Schedule, *, tol: float = 1e-9) -> SimulationResult:
     """Execute a static schedule and re-check it dynamically.
@@ -179,9 +165,8 @@ class OnlineListSimulator:
     scanned in priority order and every *released* task whose processor
     requirement fits a contiguous free block is started (leftmost fitting
     block).  This is the event-driven counterpart of Graham's list
-    scheduling with contiguous allocations; fed arrival-by-arrival it is the
-    online baseline the availability kernel is judged against
-    (:func:`repro.online.baselines.online_list_replay`).
+    scheduling with contiguous allocations; since it honours release times,
+    it also runs arrival-by-arrival traces as a greedy online policy.
     """
 
     def __init__(self, allotment: Allotment, order: list[int] | None = None) -> None:

@@ -16,10 +16,8 @@ assigns release times following a classical arrival pattern:
     curve), sampled by inverse-transform over the cumulative intensity.
 ``pareto_trace``
     Heavy-tailed (Pareto/Lomax) inter-arrival times: most arrivals land in
-    dense clumps separated by rare, very long gaps.  The long gaps leave
-    deep carry-over tails behind them, which is exactly the regime where
-    the availability kernel's partial-machine carry-over should beat the
-    epoch barrier.
+    dense clumps separated by rare, very long gaps, so epochs alternate
+    between large batches and a drained, idle machine.
 
 Unless given explicitly, the arrival horizon defaults to the instance's
 offline makespan lower bound: the trace then injects work at roughly the

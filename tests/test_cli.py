@@ -85,27 +85,33 @@ class TestReplay:
         with pytest.raises(SystemExit):
             main(["replay", "--pattern", "burst", "--rate", "2.0"])
 
-    @pytest.mark.parametrize("kernel", ["barrier", "availability"])
-    def test_replay_kernel_selection(self, capsys, kernel):
+    def test_replay_runs_the_barrier_kernel(self, capsys):
         code = main(
             ["replay", "--pattern", "pareto", "--family", "uniform",
              "--tasks", "8", "--procs", "4", "--seed", "1",
-             "--kernel", kernel, "--validate", "--json"]
+             "--validate", "--json"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert f"kernel={kernel}" in out
         summary = json.loads(
             next(line for line in out.splitlines() if line.startswith("REPLAY "))
             [len("REPLAY "):]
         )
-        assert summary["kernel"] == kernel and summary["validated"] is True
+        assert summary["kernel"] == "barrier" and summary["validated"] is True
 
-    def test_replay_unknown_kernel_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["replay", "--kernel", "nope"])
-        err = capsys.readouterr().err
-        assert "availability" in err and "barrier" in err
+    def test_replay_has_no_kernel_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "--kernel", "barrier"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantum", ["nan", "inf"])
+    def test_replay_non_finite_quantum_is_one_line(self, capsys, quantum):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "--tasks", "4", "--procs", "2", "--quantum", quantum])
+        (line,) = str(excinfo.value.code).splitlines()
+        assert line == f"quantum must be finite (or None), got {quantum}"
+        assert capsys.readouterr().out == ""
 
     def test_replay_negative_release_in_trace_file_rejected(self, tmp_path):
         from repro.model.instance import Instance

@@ -76,6 +76,20 @@ ERROR_REQUESTS = [
     ("replay-bad-kernel", "POST", "/replay", json.dumps(
         {"generate": {"tasks": 3, "procs": 2}, "kernel": "nope"}
     ).encode()),
+    # Clients that still name the deleted second kernel get the documented 400.
+    ("replay-availability-kernel", "POST", "/replay", json.dumps(
+        {"generate": {"tasks": 3, "procs": 2}, "kernel": "availability"}
+    ).encode()),
+    # A non-finite quantum would stream NaN/Infinity tokens (not JSON) and
+    # start the second epoch at t = inf.  Python's json takes the bare
+    # tokens, so they must get the same 400 as the strings.
+    *[
+        (f"replay-quantum-{label}", "POST", "/replay",
+         b'{"generate": {"tasks": 3, "procs": 2}, "quantum": ' + quantum + b"}")
+        for label, quantum in (
+            ("inf", b'"inf"'), ("nan-string", b'"nan"'), ("nan-token", b"NaN"),
+        )
+    ],
     # A bad eps is rejected when the scheduler is built, so /replay answers
     # before its stream starts instead of a 200 cut short at the first epoch.
     *[
@@ -260,7 +274,7 @@ REPLAY_BODY = json.dumps(
             "procs": 4,
             "seed": 17,
         },
-        "kernel": "availability",
+        "kernel": "barrier",
         "validate": True,
     }
 ).encode()

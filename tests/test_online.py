@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -255,8 +257,13 @@ class TestEpochRescheduler:
         assert [e.index for e in seen] == [e.index for e in result.epochs]
 
     def test_invalid_quantum_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="non-negative"):
             EpochRescheduler("mrt", quantum=-1.0)
+
+    @pytest.mark.parametrize("quantum", [math.inf, -math.inf, math.nan])
+    def test_non_finite_quantum_rejected(self, quantum):
+        with pytest.raises(ModelError, match="quantum must be finite"):
+            EpochRescheduler("mrt", quantum=quantum)
 
     def test_quantum_boundary_arrival_emits_no_empty_epoch(self):
         """Regression: a last arrival exactly on a quantum boundary must not
@@ -320,16 +327,17 @@ class TestReplayPayload:
             replay_from_payload(payload)
 
     def test_unknown_kernel_error_lists_choices(self):
-        with pytest.raises(ModelError, match="availability.*barrier"):
-            replay_from_payload({"generate": {}, "kernel": "nope"})
+        with pytest.raises(ModelError) as excinfo:
+            replay_from_payload({"generate": {}, "kernel": "availability"})
+        assert str(excinfo.value) == (
+            "unknown online kernel 'availability'; choose from ['barrier']"
+        )
 
     def test_kernel_selection(self):
-        from repro.online import AvailabilityRescheduler
-
         _, rescheduler, _ = replay_from_payload(
-            {"generate": {"tasks": 4, "procs": 2}, "kernel": "availability"}
+            {"generate": {"tasks": 4, "procs": 2}, "kernel": "barrier"}
         )
-        assert isinstance(rescheduler, AvailabilityRescheduler)
+        assert isinstance(rescheduler, EpochRescheduler)
         _, default, _ = replay_from_payload({"generate": {"tasks": 4, "procs": 2}})
         assert isinstance(default, EpochRescheduler)
 

@@ -6,14 +6,13 @@ cache rewrites how epochs are scheduled on a warm shard (content-addressed
 plan replay instead of a fresh dichotomic search).  Both must be invisible
 in the payload bytes, so this suite pins:
 
-(a) for both kernels on random poisson/burst/pareto traces (hypothesis),
-    the streamed ``{"epoch": ...}`` frames are exactly the ``epochs`` list
-    of the final frame, and the final frame *is* the legacy synchronous
-    response — timing fields are the only permitted difference;
+(a) on random poisson/burst/pareto traces (hypothesis), the streamed
+    ``{"epoch": ...}`` frames are exactly the ``epochs`` list of the final
+    frame, and the final frame *is* the legacy synchronous response —
+    timing fields are the only permitted difference;
 (b) a plan-cache-warm replay is byte-identical to a cold one (again modulo
-    ``compute_ms``/``elapsed_ms``), including the fallback-adopted
-    ``availability-*`` path, with hit/miss/eviction accounting to prove
-    the cache was actually exercised;
+    ``compute_ms``/``elapsed_ms``), with hit/miss/eviction accounting to
+    prove the cache was actually exercised;
 (c) plan keys are order-sensitive and kernel-agnostic (their digest is
     pinned by a golden value in ``tests/test_contracts.py``);
 (d) the daemon endpoint streams the same bytes the in-process generator
@@ -31,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.online import (
-    AvailabilityRescheduler,
     CachedPlan,
     EpochRescheduler,
     PlanCache,
@@ -39,7 +37,7 @@ from repro.online import (
     iter_replay_frames,
 )
 from repro.online.plancache import PLAN_MISS, plan_key
-from repro.registry import ONLINE_KERNELS, make_rescheduler
+from repro.registry import make_rescheduler
 from repro.workloads.arrivals import make_trace
 from repro.workloads.generators import WORKLOAD_FAMILIES
 
@@ -82,26 +80,22 @@ class TestStreamedFramesMatchKernel:
     def test_frames_are_the_final_documents_epochs_bit_exactly(self, trace):
         """(a) No scrubbing here: frames and final doc come from ONE run, so
         even ``compute_ms`` must agree — the stream may not re-run anything."""
-        for kernel in ONLINE_KERNELS:
-            epochs, final = drain(trace, make_rescheduler(kernel, "mrt"))
-            assert epochs == final["result"]["epochs"]
-            assert final["result"]["kernel"] == kernel
+        epochs, final = drain(trace, make_rescheduler("barrier", "mrt"))
+        assert epochs == final["result"]["epochs"]
+        assert final["result"]["kernel"] == "barrier"
 
     @given(trace=random_traces)
     @settings(max_examples=15, deadline=None)
     def test_final_frame_equals_the_synchronous_response(self, trace):
         """(a) Concatenating nothing but the last line reproduces the legacy
         ``compute_replay_response`` document, timing fields aside."""
-        for kernel in ONLINE_KERNELS:
-            _, final = drain(
-                trace, make_rescheduler(kernel, "mrt"), validate=True
-            )
-            reference = compute_replay_response(
-                trace, make_rescheduler(kernel, "mrt"), True
-            )
-            assert json.dumps(scrub(final), sort_keys=True) == json.dumps(
-                scrub(reference), sort_keys=True
-            )
+        _, final = drain(trace, make_rescheduler("barrier", "mrt"), validate=True)
+        reference = compute_replay_response(
+            trace, make_rescheduler("barrier", "mrt"), True
+        )
+        assert json.dumps(scrub(final), sort_keys=True) == json.dumps(
+            scrub(reference), sort_keys=True
+        )
 
     def test_frames_arrive_as_valid_single_line_ndjson(self):
         trace = make_trace("burst", "mixed", 10, 4, seed=3)
@@ -144,7 +138,7 @@ class TestStreamedFramesMatchKernel:
 
 
 class TestPlanCacheByteIdentity:
-    @pytest.mark.parametrize("kernel", sorted(ONLINE_KERNELS))
+    @pytest.mark.parametrize("kernel", ["barrier"])
     def test_warm_replay_is_byte_identical_to_cold(self, kernel):
         """(b) Same trace, shared cache: run 2 rebuilds every epoch plan from
         the cache yet streams the identical document — engine counters
@@ -165,7 +159,7 @@ class TestPlanCacheByteIdentity:
     def test_warm_replay_is_1_2x_faster_than_cold(self):
         """A pass over traces whose epoch plans are already cached runs
         >= 1.2x faster than the pass that filled the cache (best of 3;
-        poisson mixed 32x8, seeds 0-2, both kernels)."""
+        poisson mixed 32x8, seeds 0-2)."""
         traces = [
             make_trace("poisson", "mixed", 32, 8, seed=seed) for seed in range(3)
         ]
@@ -173,8 +167,7 @@ class TestPlanCacheByteIdentity:
         def pass_seconds(cache: PlanCache) -> float:
             start = time.perf_counter()
             for trace in traces:
-                for kernel in sorted(ONLINE_KERNELS):
-                    make_rescheduler(kernel, "mrt", plan_cache=cache).replay(trace)
+                make_rescheduler("barrier", "mrt", plan_cache=cache).replay(trace)
             return time.perf_counter() - start
 
         cold = warm = float("inf")
@@ -184,33 +177,15 @@ class TestPlanCacheByteIdentity:
             warm = min(warm, pass_seconds(cache))
         assert cold / warm >= 1.2, f"warm replay only {cold / warm:.2f}x faster"
 
-    def test_fallback_adopted_availability_path_stays_byte_identical(self):
-        """(b) Seeds where the no-regret guard adopts the barrier timeline:
-        the adopted ``availability-*`` schedule must also replay warm."""
-        for seed in range(6):
-            cache = PlanCache(256)
-            trace = make_trace("poisson", "mixed", 14, 8, seed=seed)
-            documents = []
-            for _ in range(2):
-                rescheduler = AvailabilityRescheduler("mrt", plan_cache=cache)
-                _, final = drain(trace, rescheduler)
-                assert final["result"]["schedule"]["algorithm"] == (
-                    "availability-mrt"
-                )
-                documents.append(scrub(final))
-            assert documents[0] == documents[1]
-            assert cache.stats.hits > 0
-
     def test_plain_replay_unaffected_by_cache_presence(self):
         """A cache-less replay and a cold cached replay emit the same bytes:
         the cache can memoise, never perturb."""
         trace = make_trace("burst", "mixed", 12, 6, seed=2)
-        for kernel in ONLINE_KERNELS:
-            _, plain = drain(trace, make_rescheduler(kernel, "mrt"))
-            _, cached = drain(
-                trace, make_rescheduler(kernel, "mrt", plan_cache=PlanCache())
-            )
-            assert scrub(plain) == scrub(cached)
+        _, plain = drain(trace, make_rescheduler("barrier", "mrt"))
+        _, cached = drain(
+            trace, make_rescheduler("barrier", "mrt", plan_cache=PlanCache())
+        )
+        assert scrub(plain) == scrub(cached)
 
 
 class TestPlanCacheAccounting:
@@ -298,7 +273,7 @@ class TestDaemonStreamEndToEnd:
         yield server
         server.close()
 
-    @pytest.mark.parametrize("kernel", sorted(ONLINE_KERNELS))
+    @pytest.mark.parametrize("kernel", ["barrier"])
     def test_daemon_stream_matches_in_process_generator(self, server, kernel):
         """(d) The HTTP chunk stream carries exactly the NDJSON lines the
         in-process generator yields for the same trace (scrubbed)."""
@@ -340,7 +315,6 @@ class TestDaemonStreamEndToEnd:
         final = client.replay(
             generate={"pattern": "poisson", "family": "mixed", "tasks": 10,
                       "procs": 4, "seed": 21},
-            kernel="availability",
             validate=True,
             on_epoch=seen.append,
         )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_property_based import instances
 
 from repro import Instance, InvalidScheduleError, MalleableTask, ModelError, Schedule
+from repro.model.schedule import ScheduledTask
 from repro.registry import ALGORITHMS, make_scheduler
 
 
@@ -125,6 +126,25 @@ class TestValidation:
         sched.add(0, -1.0, 0, 1)
         with pytest.raises(InvalidScheduleError):
             sched.validate(require_complete=False)
+
+    def test_negative_index_does_not_wrap_to_a_task(self):
+        """Index -1 would name the last task: task 1 would then run twice."""
+        two = Instance.from_profiles([[2.0, 1.5], [3.0, 2.0]])
+        sched = Schedule(two)
+        sched.add(0, 0.0, 0, 2)
+        sched.add(1, 1.5, 0, 2)
+        sched.extend([ScheduledTask(-1, 5.0, 0, 2, 2.0)])
+        with pytest.raises(InvalidScheduleError, match=r"task index -1 outside 0\.\.1"):
+            sched.validate()
+
+    @pytest.mark.parametrize("start", [math.inf, math.nan])
+    def test_non_finite_start_detected(self, start):
+        two = Instance.from_profiles([[2.0, 1.5], [3.0, 2.0]])
+        sched = Schedule(two)
+        sched.add(0, 0.0, 0, 2)
+        sched.add(1, start, 0, 2)
+        with pytest.raises(InvalidScheduleError, match="non-finite times"):
+            sched.validate()
 
     def test_out_of_machine_detected(self, inst):
         sched = Schedule(inst)
@@ -241,16 +261,11 @@ MUTANTS = (
     "index-out-of-range", "negative-start", "non-finite", "release",
 )
 
-#: Mutants the verdict leaves to the loop: the loop indexes tasks
-#: Python-style, and its sort order is undefined once a time is NaN.
-DEFERRED = frozenset({"negative-index", "non-finite"})
-
-
 def outcome(check, **kwargs):
     """``None`` when ``check`` passes, else the exception's type and text."""
     try:
         check(**kwargs)
-    except Exception as exc:  # IndexError too: the loop indexes tasks directly
+    except Exception as exc:  # TypeError too: ill-typed fields
         return type(exc), str(exc)
     return None
 
@@ -304,8 +319,7 @@ class TestOnePassVerdict:
     schedules from every registered scheduler and over mutants of them,
     ``validate()`` must fail exactly when the loop fails, with its exact
     exception and message, and the verdict must pass exactly when the loop
-    passes, except on the :data:`DEFERRED` mutants, which the verdict
-    leaves to the loop.
+    passes.
     """
 
     @pytest.mark.parametrize("kind", MUTANTS)
@@ -353,16 +367,14 @@ class TestOnePassVerdict:
         reference = outcome(schedule._raise_first_violation, **options)
         assert outcome(schedule.validate, **options) == reference
         verdict = schedule._passes(require_complete, deadline, respect_release, tol)
-        if kind in DEFERRED:
-            assert not verdict
-        else:
-            assert verdict == (reference is None)
+        assert verdict == (reference is None)
         caught = {
             "overlap": True, "duration": True, "past-machine": True,
             "before-machine": True, "no-procs": True, "float-procs": True,
             "duplicate": True, "index-out-of-range": True,
             "negative-start": True, "missing": require_complete,
-            "negative-index": require_complete, "release": respect_release,
+            "negative-index": True, "non-finite": True,
+            "release": respect_release,
         }.get(kind, False)
         if kind == "none":
             # Releases never exceed the starts here, so only the deadline bites.

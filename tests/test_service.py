@@ -660,30 +660,24 @@ class TestHTTPFrontend:
             client._request("/replay", payload={})
         assert err.value.status == 400
 
-    def test_replay_kernel_selection(self, client):
+    def test_replay_runs_the_barrier_kernel(self, client):
         from repro.workloads.arrivals import poisson_trace
 
         trace = poisson_trace("uniform", 8, 4, seed=2)
-        responses = {
-            kernel: client.replay(trace, kernel=kernel, validate=True)
-            for kernel in ("barrier", "availability")
-        }
-        for kernel, response in responses.items():
-            assert response["result"]["kernel"] == kernel
-            assert response["validation"] is not None
-        # the kernel choice never changes the response shape
-        shapes = {
-            kernel: (sorted(response), sorted(response["result"]))
-            for kernel, response in responses.items()
-        }
-        assert shapes["barrier"] == shapes["availability"]
+        response = client.replay(trace, validate=True)
+        assert response["result"]["kernel"] == "barrier"
+        assert response["validation"] is not None
 
     def test_replay_unknown_kernel_is_400_listing_choices(self, client):
         with pytest.raises(ServiceHTTPError) as err:
-            client.replay(generate={"tasks": 4, "procs": 2}, kernel="nope")
+            client._request(
+                "/replay",
+                payload={"generate": {"tasks": 4, "procs": 2}, "kernel": "availability"},
+            )
         assert err.value.status == 400
-        message = err.value.payload["error"]
-        assert "availability" in message and "barrier" in message
+        assert err.value.payload["error"] == (
+            "unknown online kernel 'availability'; choose from ['barrier']"
+        )
 
     def test_replay_negative_release_is_400_not_500(self, client):
         from repro.model.instance import Instance

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -19,6 +20,7 @@ from repro import (
 from repro.baselines.gang import GangScheduler
 from repro.baselines.sequential import SequentialLPTScheduler
 from repro.sim.events import Event, EventKind
+from repro.workloads.generators import make_workload
 
 
 class TestEvents:
@@ -46,6 +48,17 @@ class TestSimulateSchedule:
         per_proc = result.per_processor_utilization()
         assert per_proc.shape == (small_instance.num_procs,)
         assert (per_proc <= 1.0 + 1e-9).all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_finish_times_match_the_static_view_exactly(self, seed):
+        """Static and simulated per-processor finish times agree, bit for bit."""
+        schedule = MRTScheduler().schedule(make_workload("mixed", 10, 6, seed=seed))
+        np.testing.assert_allclose(
+            schedule.processor_finish_times(),
+            simulate_schedule(schedule).finish_time,
+            rtol=0,
+            atol=0,
+        )
 
     def test_detects_overlap(self):
         inst = Instance([MalleableTask.rigid("a", 2.0, 2), MalleableTask.rigid("b", 2.0, 2)], 2)
