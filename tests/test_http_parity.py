@@ -88,6 +88,8 @@ ERROR_REQUESTS = [
          b'{"generate": {"tasks": 3, "procs": 2}, "quantum": ' + quantum + b"}")
         for label, quantum in (
             ("inf", b'"inf"'), ("nan-string", b'"nan"'), ("nan-token", b"NaN"),
+            ("infinity-token", b"Infinity"),
+            ("minus-infinity-token", b"-Infinity"),
         )
     ],
     # A bad eps is rejected when the scheduler is built, so /replay answers

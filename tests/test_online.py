@@ -223,6 +223,29 @@ class TestEpochRescheduler:
         for prev, cur in zip(result.epochs, result.epochs[1:]):
             assert cur.start >= prev.end - 1e-9
 
+    @pytest.mark.parametrize("pattern", sorted(ARRIVAL_PATTERNS))
+    def test_every_task_scheduled_exactly_once(self, pattern):
+        trace = make_trace(pattern, "mixed", 20, 8, seed=7)
+        result = EpochRescheduler("mrt").replay(trace)
+        indices = sorted(e.task_index for e in result.schedule.entries)
+        assert indices == list(range(20))
+        assert sum(e.num_tasks for e in result.epochs) == 20
+
+    def test_batches_wait_for_the_previous_batch_to_drain(self):
+        """A batch owns the whole machine until it drains, so short tasks
+        that arrive while a long one runs start only after it ends — even
+        though a processor sits idle all the while."""
+        profiles = [[20.0, 20.0], [1.0, 1.0], [1.0, 1.0]]
+        trace = Instance.from_profiles(profiles, require_monotonic=False).with_releases(
+            [0.0, 1.0, 2.0]
+        )
+        result = EpochRescheduler("mrt").replay(trace)
+        simulate_and_check(result.schedule, respect_release=True)
+        long_end = result.schedule.entry_for(0).end
+        for index in (1, 2):
+            assert result.schedule.entry_for(index).start >= long_end - 1e-9
+        assert result.num_epochs == 2 and result.epochs[1].num_tasks == 2
+
     def test_quantum_spaces_epochs(self):
         trace = poisson_trace("uniform", 20, 6, seed=6)
         quantum = float(trace.release_times.max())  # one giant batch window
@@ -264,6 +287,10 @@ class TestEpochRescheduler:
     def test_non_finite_quantum_rejected(self, quantum):
         with pytest.raises(ModelError, match="quantum must be finite"):
             EpochRescheduler("mrt", quantum=quantum)
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ModelError):
+            EpochRescheduler("nope")
 
     def test_quantum_boundary_arrival_emits_no_empty_epoch(self):
         """Regression: a last arrival exactly on a quantum boundary must not
@@ -320,6 +347,8 @@ class TestReplayPayload:
             {"generate": {}, "algorithm": 7},
             {"generate": {}, "kernel": 7},
             {"generate": {}, "kernel": "nope"},
+            {"generate": {}, "quantum": "inf"},
+            {"generate": {}, "quantum": "nan"},
         ],
     )
     def test_malformed_payloads_rejected(self, payload):

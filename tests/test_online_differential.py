@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelError
-from repro.online import EpochRescheduler
+from repro.online import EpochRescheduler, PlanCache
 from repro.registry import make_rescheduler, make_scheduler
 from repro.sim.validate import simulate_and_check
 from repro.workloads.arrivals import make_trace
@@ -83,6 +83,16 @@ class TestKernelIdentity:
         assert str(excinfo.value) == (
             "unknown online kernel 'availability'; choose from ['barrier']"
         )
+
+    def test_make_rescheduler_forwards_its_settings(self):
+        cache = PlanCache(8)
+        rescheduler = make_rescheduler(
+            "barrier", "sequential", {}, quantum=2.5, plan_cache=cache
+        )
+        assert isinstance(rescheduler, EpochRescheduler)
+        assert rescheduler.algorithm == "sequential"
+        assert rescheduler.quantum == 2.5
+        assert rescheduler.plan_cache is cache
 
     def test_epoch_reports_count_every_task_once(self):
         """Per-epoch makespan is the epoch's span, and the per-epoch task

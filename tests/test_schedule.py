@@ -137,12 +137,30 @@ class TestValidation:
         with pytest.raises(InvalidScheduleError, match=r"task index -1 outside 0\.\.1"):
             sched.validate()
 
-    @pytest.mark.parametrize("start", [math.inf, math.nan])
+    def test_index_past_the_last_task_is_rejected(self):
+        two = Instance.from_profiles([[2.0, 1.5], [3.0, 2.0]])
+        sched = Schedule(two)
+        sched.add(0, 0.0, 0, 2)
+        sched.add(1, 1.5, 0, 2)
+        sched.extend([ScheduledTask(2, 5.0, 0, 2, 2.0)])
+        with pytest.raises(InvalidScheduleError, match=r"task index 2 outside 0\.\.1"):
+            sched.validate()
+
+    @pytest.mark.parametrize("start", [math.inf, math.nan, -math.inf])
     def test_non_finite_start_detected(self, start):
         two = Instance.from_profiles([[2.0, 1.5], [3.0, 2.0]])
         sched = Schedule(two)
         sched.add(0, 0.0, 0, 2)
         sched.add(1, start, 0, 2)
+        with pytest.raises(InvalidScheduleError, match="non-finite times"):
+            sched.validate()
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration_detected(self, duration):
+        two = Instance.from_profiles([[2.0, 1.5], [3.0, 2.0]])
+        sched = Schedule(two)
+        sched.add(0, 0.0, 0, 2)
+        sched.extend([ScheduledTask(1, 1.5, 0, 2, duration)])
         with pytest.raises(InvalidScheduleError, match="non-finite times"):
             sched.validate()
 

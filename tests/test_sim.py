@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.baselines.gang import GangScheduler
 from repro.baselines.sequential import SequentialLPTScheduler
+from repro.registry import ALGORITHMS, make_scheduler
 from repro.sim.events import Event, EventKind
 from repro.workloads.generators import make_workload
 
@@ -53,6 +54,17 @@ class TestSimulateSchedule:
     def test_finish_times_match_the_static_view_exactly(self, seed):
         """Static and simulated per-processor finish times agree, bit for bit."""
         schedule = MRTScheduler().schedule(make_workload("mixed", 10, 6, seed=seed))
+        np.testing.assert_allclose(
+            schedule.processor_finish_times(),
+            simulate_schedule(schedule).finish_time,
+            rtol=0,
+            atol=0,
+        )
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_every_scheduler_matches_the_static_view_exactly(self, algorithm):
+        instance = make_workload("mixed", 10, 6, seed=3)
+        schedule = make_scheduler(algorithm).schedule(instance)
         np.testing.assert_allclose(
             schedule.processor_finish_times(),
             simulate_schedule(schedule).finish_time,
