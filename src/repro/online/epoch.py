@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -310,6 +310,25 @@ class EpochRescheduler:
         then degenerates to a single epoch whose schedule *is* the kernel's
         offline schedule.
         """
+        epochs = self.iter_epochs(instance)
+        while True:
+            try:
+                report = next(epochs)
+            except StopIteration as done:
+                return done.value
+            if on_epoch is not None:
+                on_epoch(report)
+
+    def iter_epochs(
+        self, instance: Instance
+    ) -> Generator[EpochReport, None, ReplayResult]:
+        """The epoch loop: yield each :class:`EpochReport` as soon as its
+        batch is scheduled, then return the :class:`ReplayResult`.
+
+        Nothing runs ahead of the consumer: batch k+1 is planned only when
+        the caller asks for the next report, and closing the generator
+        schedules nothing more.
+        """
         releases = instance.release_times
         timeline = Schedule(instance, algorithm=f"epoch-{self.algorithm}")
         unscheduled = sorted(range(instance.num_tasks), key=lambda i: releases[i])
@@ -363,8 +382,7 @@ class EpochRescheduler:
                 engine=batch_engine,
             )
             epochs.append(report)
-            if on_epoch is not None:
-                on_epoch(report)
+            yield report
             scheduled = set(pending)
             unscheduled = [i for i in unscheduled if i not in scheduled]
             clock = end if self.quantum is None else max(end, clock + self.quantum)

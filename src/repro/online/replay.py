@@ -18,28 +18,26 @@ stream back:
     fingerprint and (optionally) an independent simulate-and-check
     validation with release dates enforced.
 ``iter_replay_frames``
-    The streaming producer behind the chunked ``POST /replay``: a generator
-    of NDJSON frames — one ``{"epoch": ...}`` line per
-    :class:`~repro.online.epoch.EpochReport` as it is scheduled, then the
-    full ``compute_replay_response`` document as the final line, so a
-    client that concatenates the final frame sees exactly the legacy
-    synchronous response.
+    The body of the chunked ``POST /replay``: a generator of NDJSON frames,
+    driven by the request thread that writes them — one ``{"epoch": ...}``
+    line per :class:`~repro.online.epoch.EpochReport` as soon as its batch
+    is scheduled, then the full ``compute_replay_response`` document as the
+    final line, so a client that concatenates the final frame sees exactly
+    the legacy synchronous response.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time
 from typing import Iterator
 
 from ..exceptions import ModelError
 from ..model.instance import Instance
-from ..registry import make_rescheduler
+from ..registry import make_rescheduler, typed_field
 from ..sim.validate import simulate_and_check
 from ..workloads.arrivals import ARRIVAL_PATTERNS, make_trace
-from .epoch import EpochRescheduler
+from .epoch import EpochRescheduler, ReplayResult
 
 __all__ = [
     "compute_replay_response",
@@ -93,9 +91,9 @@ def replay_from_payload(
             trace = make_trace(
                 pattern,
                 spec.get("family", "mixed"),
-                int(spec.get("tasks", 32)),
-                int(spec.get("procs", 16)),
-                seed=int(spec.get("seed", 0)),
+                typed_field(spec, "tasks", 32, int, where="generate."),
+                typed_field(spec, "procs", 16, int, where="generate."),
+                seed=typed_field(spec, "seed", 0, int, where="generate."),
                 **options,
             )
     except ModelError:
@@ -108,19 +106,15 @@ def replay_from_payload(
     algorithm = payload.get("algorithm", "mrt")
     if not isinstance(algorithm, str):
         raise ModelError("'algorithm' must be a string")
-    quantum = payload.get("quantum")
-    if quantum is not None:
-        try:
-            quantum = float(quantum)
-        except (TypeError, ValueError) as exc:
-            raise ModelError("'quantum' must be a number or null") from exc
+    quantum = typed_field(payload, "quantum", None, (int, float), nullable=True)
     kernel = payload.get("kernel", "barrier")
     if not isinstance(kernel, str):
         raise ModelError("'kernel' must be a string")
+    validate = typed_field(payload, "validate", False, bool)
     rescheduler = make_rescheduler(
         kernel, algorithm, params, quantum=quantum, plan_cache=plan_cache
     )
-    return trace, rescheduler, bool(payload.get("validate", False))
+    return trace, rescheduler, validate
 
 
 def compute_replay_response(
@@ -132,10 +126,14 @@ def compute_replay_response(
 ) -> dict:
     """Run the replay and shape the ``POST /replay`` response payload.
 
-    ``on_epoch`` is forwarded to :meth:`replay` — the streaming frontend
-    hooks it to emit one frame per :class:`~repro.online.epoch.EpochReport`.
+    ``on_epoch`` is forwarded to :meth:`replay`, which calls it with each
+    :class:`~repro.online.epoch.EpochReport` as soon as its batch is
+    scheduled.
     """
-    result = rescheduler.replay(trace, on_epoch=on_epoch)
+    return _response(trace, rescheduler.replay(trace, on_epoch=on_epoch), validate)
+
+
+def _response(trace: Instance, result: ReplayResult, validate: bool) -> dict:
     payload: dict = {
         "result": {
             **result.metrics(),
@@ -155,82 +153,37 @@ def compute_replay_response(
     return payload
 
 
-class _StreamClosed(Exception):
-    """Raised inside the producer when the consumer abandoned the stream."""
-
-
-#: Queue sentinel: the producer is done, every frame has been enqueued.
-_DONE = object()
-
-
 def iter_replay_frames(
     trace: Instance,
     rescheduler: EpochRescheduler,
     validate: bool,
-    *,
-    queue_size: int = 32,
 ) -> Iterator[bytes]:
-    """NDJSON frames of one streamed replay, produced as epochs complete.
+    """NDJSON frames of one streamed replay, each written as it is computed.
 
-    Bridges the kernel's push-style ``on_epoch`` callback into the
-    pull-style iterable the transports consume: the replay runs on a
-    producer thread feeding a bounded queue; each yielded frame is one
+    Walks :meth:`~repro.online.epoch.EpochRescheduler.iter_epochs` on the
+    caller's thread: each yielded frame is one
     ``{"epoch": <EpochReport.as_dict()>}\\n`` line, and the final frame is
     the complete :func:`compute_replay_response` document (plus
-    ``elapsed_ms``) — concatenating nothing but the last line reproduces
-    the legacy synchronous response byte-for-byte.
+    ``elapsed_ms``, the wall time of the whole stream, frame writes
+    included) — concatenating nothing but the last line reproduces the
+    legacy synchronous response byte-for-byte.
 
-    Error contract: a kernel exception is re-raised *here*, mid-iteration —
+    Error contract: a kernel exception propagates *here*, mid-iteration —
     the transport then aborts the chunked stream without the terminating
-    zero chunk, so truncation is the client's error signal.  Closing the
-    generator early (client went away) sets a cancel flag that the
-    producer's next ``put`` turns into a clean thread exit: no thread leak,
-    no unbounded buffering of an abandoned replay.
+    zero chunk, so truncation is the client's error signal.  Backpressure is
+    the consumer itself: no epoch is scheduled before the previous frame
+    was taken, and closing the generator (client went away) schedules
+    nothing more.
     """
-    frames: queue.Queue = queue.Queue(maxsize=queue_size)
-    cancelled = threading.Event()
-
-    def put(item) -> None:
-        while True:
-            if cancelled.is_set():
-                raise _StreamClosed
-            try:
-                frames.put(item, timeout=0.1)
-                return
-            except queue.Full:
-                continue
-
-    def produce() -> None:
-        start = time.perf_counter()
+    start = time.perf_counter()
+    epochs = rescheduler.iter_epochs(trace)
+    while True:
         try:
-            payload = compute_replay_response(
-                trace,
-                rescheduler,
-                validate,
-                on_epoch=lambda report: put({"epoch": report.as_dict()}),
-            )
-            payload["elapsed_ms"] = (time.perf_counter() - start) * 1e3
-            put(payload)
-            put(_DONE)
-        except _StreamClosed:
-            pass
-        except BaseException as exc:  # noqa: BLE001 — relayed to the consumer
-            try:
-                put(exc)
-            except _StreamClosed:
-                pass
-
-    producer = threading.Thread(
-        target=produce, name="repro-replay-stream", daemon=True
-    )
-    producer.start()
-    try:
-        while True:
-            item = frames.get()
-            if item is _DONE:
-                return
-            if isinstance(item, BaseException):
-                raise item
-            yield json.dumps(item).encode() + b"\n"
-    finally:
-        cancelled.set()
+            report = next(epochs)
+        except StopIteration as done:
+            result = done.value
+            break
+        yield json.dumps({"epoch": report.as_dict()}).encode() + b"\n"
+    payload = _response(trace, result, validate)
+    payload["elapsed_ms"] = (time.perf_counter() - start) * 1e3
+    yield json.dumps(payload).encode() + b"\n"

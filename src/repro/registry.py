@@ -6,7 +6,8 @@ scheduling service (``POST /schedule`` with ``{"algorithm": NAME}``) resolve
 names through this module so the two entry points can never drift apart.
 
 Registering an additional scheduler (e.g. a test double) is just a dict
-insert: ``ALGORITHMS["mine"] = MyScheduler``.
+insert: ``ALGORITHMS["mine"] = MyScheduler``.  :func:`typed_field` is the
+one type check the request parsers apply to scalar JSON fields.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .core.mrt import MRTScheduler
 from .exceptions import ModelError
 from .scheduler import Scheduler
 
-__all__ = ["ALGORITHMS", "make_rescheduler", "make_scheduler"]
+__all__ = ["ALGORITHMS", "make_rescheduler", "make_scheduler", "typed_field"]
 
 #: Algorithm name -> scheduler factory (callable returning a Scheduler).
 ALGORITHMS: dict[str, type | object] = {
@@ -29,6 +30,31 @@ ALGORITHMS: dict[str, type | object] = {
     "sequential": SequentialLPTScheduler,
     "gang": GangScheduler,
 }
+
+
+#: Readable name of each JSON type :func:`typed_field` accepts.
+_KIND_NAMES = {bool: "a boolean", int: "an integer", (int, float): "a number"}
+
+
+def typed_field(
+    payload: dict, key: str, default, kind, *, nullable: bool = False, where: str = ""
+):
+    """``payload[key]`` (or ``default``) if it is a JSON value of type ``kind``.
+
+    ``kind`` is ``bool``, ``int`` or ``(int, float)``.  A JSON boolean
+    matches ``bool`` only — Python's ``True`` is also an ``int``, but
+    ``"tasks": true`` is not a task count — and ``None`` passes only when
+    ``nullable``.  Anything else raises :class:`~repro.exceptions.ModelError`
+    naming the field (prefixed with ``where``), so a loosely typed request
+    is a 400 instead of being coerced.
+    """
+    value = payload.get(key, default)
+    if (value is None and nullable) or (
+        isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+    ):
+        return value
+    null = " or null" if nullable else ""
+    raise ModelError(f"'{where}{key}' must be {_KIND_NAMES[kind]}{null}")
 
 
 def make_scheduler(name: str, params: dict | None = None) -> Scheduler:

@@ -88,10 +88,10 @@ def routing_info(raw: bytes) -> tuple[str, dict[str, str]]:
     The headers are sent only for a body the shard's own parser accepts
     under the very same key; a fast hit would otherwise answer 200 where
     the daemon answers 400.  Bodies carrying both ``instance`` and
-    ``generate``, ill-typed ``algorithm``/``params`` and algorithm names no
-    header carries verbatim (non-ASCII, control characters such as CR/LF,
-    surrounding blanks) route by content alone, so the shard's request
-    parser produces the canonical 400.
+    ``generate``, ill-typed ``algorithm``/``params``/``validate`` and
+    algorithm names no header carries verbatim (non-ASCII, control
+    characters such as CR/LF, surrounding blanks) route by content alone,
+    so the shard's request parser produces the canonical 400.
     """
     try:
         payload = json.loads(raw)
@@ -104,8 +104,10 @@ def routing_info(raw: bytes) -> tuple[str, dict[str, str]]:
             if fingerprint is not None:
                 algorithm = payload.get("algorithm", "mrt")
                 params = payload.get("params", {})
+                validate = payload.get("validate", False)
                 if (
                     "generate" in payload
+                    or not isinstance(validate, bool)
                     or not isinstance(params, dict)
                     or not isinstance(algorithm, str)
                     or not algorithm.isascii()
@@ -121,9 +123,7 @@ def routing_info(raw: bytes) -> tuple[str, dict[str, str]]:
                     "X-Repro-Fingerprint": fingerprint,
                     "X-Repro-Algorithm": algorithm,
                     "X-Repro-Params": params_json,
-                    "X-Repro-Validate": (
-                        "1" if payload.get("validate", False) else "0"
-                    ),
+                    "X-Repro-Validate": "1" if validate else "0",
                 }
     try:
         canon = canonical_json(payload)

@@ -34,7 +34,7 @@ from ..obs.names import SPAN_BATCH_COMPUTE, SPAN_CACHE_LOOKUP, SPAN_QUEUE_WAIT
 from ..obs.slo import SLO, evaluate_slo
 from ..obs.timeseries import MetricRing
 from ..obs.tracing import Trace, TraceStore, Tracer
-from ..registry import make_scheduler
+from ..registry import make_scheduler, typed_field
 from ..sim.validate import simulate_and_check
 from ..workloads.generators import WORKLOAD_FAMILIES, make_workload
 from ..workloads.ocean import ocean_instance
@@ -149,14 +149,13 @@ def request_from_payload(payload: dict) -> ScheduleRequest:
             if not isinstance(spec, dict):
                 raise ModelError("'generate' must be an object")
             family = spec.get("family", "mixed")
-            procs = int(spec.get("procs", 16))
-            seed = int(spec.get("seed", 0))
+            tasks = typed_field(spec, "tasks", 32, int, where="generate.")
+            procs = typed_field(spec, "procs", 16, int, where="generate.")
+            seed = typed_field(spec, "seed", 0, int, where="generate.")
             if family == "ocean":
                 instance = ocean_instance(procs, seed=seed)
             elif family in WORKLOAD_FAMILIES:
-                instance = make_workload(
-                    family, int(spec.get("tasks", 32)), procs, seed=seed
-                )
+                instance = make_workload(family, tasks, procs, seed=seed)
             else:
                 raise ModelError(
                     f"unknown workload family {family!r}; choose from "
@@ -176,7 +175,7 @@ def request_from_payload(payload: dict) -> ScheduleRequest:
         instance=instance,
         algorithm=algorithm,
         params=params,
-        validate=bool(payload.get("validate", False)),
+        validate=typed_field(payload, "validate", False, bool),
         fingerprint=fingerprint,
     )
 

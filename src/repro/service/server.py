@@ -239,12 +239,14 @@ class DaemonApp(App):
     def _handle_replay(self, request: Request) -> Response:
         """Online replay, streamed: one NDJSON frame per epoch, chunked.
 
-        Parsing still happens on the handler thread (so malformed payloads
-        stay clean 400s), but the replay itself runs on a producer thread
-        behind :func:`~repro.online.replay.iter_replay_frames`: each
-        :class:`~repro.online.epoch.EpochReport` is emitted as an
-        ``{"epoch": ...}`` line the moment its batch is scheduled, and the
-        final line is the complete legacy response document.  Per-epoch
+        The payload is parsed before the response starts (so malformed
+        payloads stay clean 400s); the replay then runs on the handler
+        thread as the transport pulls
+        :func:`~repro.online.replay.iter_replay_frames`: each
+        :class:`~repro.online.epoch.EpochReport` is written as an
+        ``{"epoch": ...}`` line the moment its batch is scheduled, the next
+        batch waits for that write, and the final line is the complete
+        legacy response document.  Per-epoch
         batch plans are memoised in the service's
         :class:`~repro.online.plancache.PlanCache`, so repeated and
         overlapping traces skip the dichotomic search.  The ``/schedule``

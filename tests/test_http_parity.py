@@ -48,6 +48,18 @@ BAD_LATER_TASKS = [
 ]
 
 
+#: (label, top-level fields, ``generate`` fields) a parser used to coerce
+#: into a 200: ``bool("no")`` is True, ``int(2.5)`` is 2, ``true`` is 1.
+LOOSE_FIELDS = [
+    ("validate-string", {"validate": "no"}, {}),
+    ("validate-int", {"validate": 1}, {}),
+    ("tasks-bool", {}, {"tasks": True}),
+    ("procs-string", {}, {"procs": "2"}),
+    ("procs-float", {}, {"procs": 2.5}),
+    ("seed-float", {}, {"seed": 1.9}),
+]
+
+
 def with_bad_later_task(bad_task: str) -> str:
     good = ", ".join(json.dumps(task) for task in TINY_INSTANCE["tasks"])
     return f'{{"num_procs": 2, "tasks": [{good}, {bad_task}]}}'
@@ -109,6 +121,22 @@ ERROR_REQUESTS = [
         for path, key in (("/schedule", "instance"), ("/replay", "trace"))
         for label, task in BAD_LATER_TASKS
     ],
+    # Loosely typed scalars are a 400, not a coercion, on every parser.
+    *[
+        (f"{path[1:]}-loose-{label}", "POST", path, json.dumps(
+            {**fields, "generate": {**spec, "tasks": 3, "procs": 2, **loose}}
+        ).encode())
+        for path, spec in (("/schedule", {"family": "uniform"}), ("/replay", {}))
+        for label, fields, loose in LOOSE_FIELDS
+    ],
+    ("replay-quantum-bool", "POST", "/replay", json.dumps(
+        {"generate": {"tasks": 3, "procs": 2}, "quantum": True}
+    ).encode()),
+    # An instance body with a non-boolean validate must not reach a shard
+    # with the router's precomputed cache-key headers.
+    ("schedule-instance-validate-string", "POST", "/schedule", json.dumps(
+        {"instance": TINY_INSTANCE, "validate": "false"}
+    ).encode()),
     # Payloads the fast fingerprint used to take although the instance
     # cannot be built: they answered 500 from the compute path.
     ("schedule-task-without-name", "POST", "/schedule", json.dumps(
@@ -261,6 +289,34 @@ class TestDaemonRouterParity:
         assert results["daemon"] == results["router"]
         assert results["router"][0] == 400
         assert b"exactly one of 'instance' or 'generate'" in results["router"][2]
+
+    def test_loose_validate_rejected_after_instance_is_cached(
+        self, daemon_and_router
+    ):
+        # A shard answers a cached hit from the router's headers alone, so
+        # the router must not send them for a validate the daemon rejects.
+        server, cluster = daemon_and_router
+        prime = json.dumps(
+            {"algorithm": "mrt", "instance": TINY_INSTANCE, "validate": True}
+        ).encode()
+        loose = json.dumps(
+            {"algorithm": "mrt", "instance": TINY_INSTANCE, "validate": "yes"}
+        ).encode()
+        results = {}
+        for which, address in (
+            ("daemon", server.server_address[:2]),
+            ("router", cluster.server.server_address[:2]),
+        ):
+            for _ in range(2):  # cold, then a warm hit
+                status, _, payload = exchange(address, "POST", "/schedule", prime)
+                assert status == 200, payload
+            assert json.loads(payload)["cache_hit"] is True
+            status, headers, payload = exchange(address, "POST", "/schedule", loose)
+            audit_structure(f"{which}:loose", status, headers, payload)
+            results[which] = (status, comparable(headers), payload)
+        assert results["daemon"] == results["router"]
+        assert results["router"][0] == 400
+        assert b"'validate' must be a boolean" in results["router"][2]
 
 
 # ---------------------------------------------------------------------- #

@@ -1,7 +1,8 @@
 """Streamed ``POST /replay`` differential suite + per-epoch plan cache.
 
-The streaming pipeline rewrites how replay results reach clients (push
-``on_epoch`` callback → bounded queue → NDJSON chunk stream), and the plan
+The streaming pipeline rewrites how replay results reach clients (the
+kernel's epoch generator → NDJSON chunk stream, one frame per epoch, no
+epoch computed ahead of its frame), and the plan
 cache rewrites how epochs are scheduled on a warm shard (content-addressed
 plan replay instead of a fresh dichotomic search).  Both must be invisible
 in the payload bytes, so this suite pins:
@@ -122,19 +123,50 @@ class TestStreamedFramesMatchKernel:
         with pytest.raises(Boom):
             list(iter_replay_frames(trace, rescheduler, False))
 
-    def test_abandoning_the_stream_stops_the_producer_thread(self):
-        import threading
+    def test_each_frame_is_yielded_before_the_next_batch_is_scheduled(self):
+        """No epoch is computed ahead of its frame: while the consumer holds
+        epoch k's frame, exactly k + 1 batches have been scheduled."""
+        trace, rescheduler, counter = counted_replay()
+        epochs = 0
+        for index, line in enumerate(iter_replay_frames(trace, rescheduler, False)):
+            document = json.loads(line)
+            if "epoch" not in document:
+                break
+            time.sleep(0.01)  # room for anything running ahead to show
+            assert document["epoch"]["index"] == index
+            assert counter.calls == index + 1
+            epochs += 1
+        assert epochs == document["result"]["num_epochs"] > 2
 
-        trace = make_trace("poisson", "mixed", 12, 4, seed=1)
-        stream = iter_replay_frames(
-            trace, EpochRescheduler("mrt"), False, queue_size=1
-        )
-        assert json.loads(next(stream))  # producer is alive and blocked
+    def test_closing_the_stream_schedules_nothing_more(self):
+        trace, rescheduler, counter = counted_replay()
+        stream = iter_replay_frames(trace, rescheduler, False)
+        assert json.loads(next(stream))["epoch"]["index"] == 0
         stream.close()
-        for thread in threading.enumerate():
-            if thread.name == "repro-replay-stream":
-                thread.join(timeout=5)
-                assert not thread.is_alive(), "producer leaked after close()"
+        time.sleep(0.05)
+        assert counter.calls == 1
+
+
+class CountingScheduler:
+    """Delegates to a real scheduler and counts the batches it schedules."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.calls = 0
+
+    def schedule(self, batch):
+        self.calls += 1
+        return self.inner.schedule(batch)
+
+
+def counted_replay():
+    """A multi-epoch trace and an uncached kernel whose batches are counted."""
+    trace = make_trace("poisson", "mixed", 12, 4, seed=1)
+    rescheduler = EpochRescheduler("mrt")
+    counter = CountingScheduler(rescheduler._scheduler)
+    rescheduler._scheduler = counter
+    return trace, rescheduler, counter
 
 
 class TestPlanCacheByteIdentity:
