@@ -19,8 +19,8 @@ drives it through :class:`~repro.service.ServiceClient` threads:
 This is the one standalone gate script: its two bars have thin margins
 and need paired rounds on a quiet host, not the tier-1 suite.  The other
 benchmark bars are tier-1 tests: the 256-connection transport soak in
-``tests/test_transport.py``; the allotment engine's >= 3x cached replay in
-``tests/test_allotment_engine.py::TestMemoization`` and EXP-A's
+``tests/test_transport.py``; the allotment engine's >= 3x piece-table
+replay in ``tests/test_allotment_engine.py::TestMemoization`` and EXP-A's
 ``workers=4`` determinism in ``TestParallelDeterminism`` there; the online
 kernel's <= 2x clairvoyant-offline bar in
 ``tests/test_online_differential.py::TestClairvoyantRatio``; the warm

@@ -236,17 +236,18 @@ def _load_or_generate(args: argparse.Namespace) -> Instance:
 
 def _print_epoch_line(epoch: dict) -> None:
     """One streamed per-epoch metrics line (local replay or NDJSON frame)."""
+    certificate = epoch["certificate"] or {}
     print(
         f"epoch {epoch['index']:3d}  t={epoch['start']:10.4g}  "
         f"tasks={epoch['num_tasks']:4d}  makespan={epoch['makespan']:10.4g}  "
         f"wait={epoch['waiting']:8.4g}  compute={epoch['compute_ms']:7.2f}ms  "
-        f"guesses={epoch['engine'].get('guesses', 0):4d}",
+        f"guesses={certificate.get('guesses', 0):3d}  "
+        f"branch={certificate.get('branch', '-')}",
         flush=True,
     )
 
 
 def _print_replay_summary(metrics: dict) -> None:
-    engine = metrics["engine"]
     print(
         f"replay: {metrics['num_epochs']} epochs  makespan={metrics['makespan']:.6g}  "
         f"flow mean/max={metrics['mean_flow']:.4g}/{metrics['max_flow']:.4g}  "
@@ -255,8 +256,7 @@ def _print_replay_summary(metrics: dict) -> None:
     )
     print(
         f"kernel compute: {metrics['compute_ms']:.2f}ms  "
-        f"engine guesses={engine['guesses']}  "
-        f"memo hits/misses={engine['memo_hits']}/{engine['memo_misses']}"
+        f"dual guesses={metrics['guesses']}"
     )
 
 

@@ -1,11 +1,6 @@
 """Core algorithms of the paper: dual approximation, list algorithms, knapsack two-shelf."""
 
-from .allotment_engine import (
-    AllotmentEngine,
-    GammaProfile,
-    PartitionSplit,
-    quantize_deadline,
-)
+from .allotment_engine import AllotmentEngine, GammaProfile, PartitionSplit
 from .dual import DualApproximation, DualSearchResult, GuessOutcome, dual_search
 from .properties import (
     CanonicalAllotment,
@@ -54,7 +49,6 @@ __all__ = [
     "AllotmentEngine",
     "GammaProfile",
     "PartitionSplit",
-    "quantize_deadline",
     "DualApproximation",
     "DualSearchResult",
     "GuessOutcome",

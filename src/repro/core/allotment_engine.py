@@ -16,22 +16,18 @@ The :class:`AllotmentEngine` replaces the scalar loops with two ideas:
   meeting the deadline).  Canonical times, works, the Property-2 total, the
   μ-area of Definition 1 and the T1/T2/T3 thresholds of the two-shelf
   partition all derive from the same pass.
-* **Memoization** — results are cached per engine in a small LRU keyed on
-  the *quantized* deadline (:func:`quantize_deadline`, 12 significant
-  digits).  The dichotomic searches of the schedulers and of the lower
-  bound revisit exactly the same guesses (the lower bound is recomputed by
-  ``dual_search``, ``MRTScheduler`` and ``best_lower_bound`` alike), so
-  repeated evaluations become dictionary hits.
 * **The piece table** — γ(d) is piecewise constant in ``d``: it changes
   only where ``d + EPS`` crosses the prefix minimum ``min_{q<=p} t_i(q)``
   of some row, so an instance has at most ``n·m + 1`` pieces.  The engine
-  sorts those prefix minima once (lazily, on the first miss) and files
-  every computed profile under its piece number, ``bisect_right(breaks,
-  d + EPS)``.  An LRU miss whose piece is already known costs one bisect:
-  the new profile shares the piece's read-only arrays, feasibility, total
-  work and μ-area, and only its ``deadline`` is the caller's.  The LRU,
-  its hit/miss counters and the probe sequence are unchanged, so a miss
-  still counts one distinct deadline looked up for the first time.
+  sorts those prefix minima once (lazily, on the first probe) and files
+  the profile computed for each piece under its piece number,
+  ``bisect_right(breaks, d + EPS)``.  Every later probe in a known piece
+  costs one bisect: it shares the piece's read-only arrays, feasibility,
+  total work and μ-area, and only its ``deadline`` is the caller's.  The
+  dichotomic searches of the schedulers and of the lower bound revisit
+  the same pieces again and again (the lower bound is recomputed by
+  ``dual_search``, ``MRTScheduler`` and ``best_lower_bound`` alike), so
+  only the first probe of each piece runs the vectorized pass.
 
 The engine is deliberately model-agnostic: it only sees the stacked
 matrices, so it can be unit-tested against the scalar reference
@@ -47,10 +43,8 @@ uniformly infeasible.
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,37 +57,7 @@ __all__ = [
     "GammaProfile",
     "PartitionSplit",
     "AllotmentEngine",
-    "quantize_deadline",
 ]
-
-#: Number of significant digits of the cache key.  Guesses produced by the
-#: dichotomic searches differ by far more than 1e-12 relatively (the finest
-#: search tolerance is 1e-9), so quantization merges only genuinely repeated
-#: deadlines and never conflates two distinct probes of the same search.
-_SIG_DIGITS = 12
-
-#: Default number of distinct deadlines remembered per engine.  A full
-#: ``MRTScheduler.schedule`` call probes well under 100 distinct guesses
-#: (lower-bound search + dichotomic search + the λ·d / θ·d satellites).
-#: The piece table behind it needs no such bound: it holds at most one
-#: profile per piece of γ, ``n·m + 1`` for an ``(n, m)`` instance.
-_DEFAULT_CACHE_SIZE = 512
-
-
-def quantize_deadline(deadline: float) -> float:
-    """Quantize ``deadline`` to 12 significant digits (the cache key).
-
-    The quantized value is only used as a dictionary key; computations use
-    the caller's exact float, so a cache miss always reproduces the scalar
-    reference bit-for-bit.
-    """
-    d = float(deadline)
-    # Every γ(d) probe, hit or miss, pays for this call: ``math.isfinite``
-    # avoids numpy's per-scalar ufunc overhead.
-    if d == 0.0 or not math.isfinite(d):
-        return d
-    return float("%.*e" % (_SIG_DIGITS, d))
-
 
 @dataclass(frozen=True)
 class CanonicalAllotment:
@@ -243,8 +207,6 @@ class AllotmentEngine:
     works_matrix:
         ``works_matrix[i, p-1] = p · t_i(p)``; derived from ``times_matrix``
         when omitted.
-    cache_size:
-        Number of distinct (quantized) deadlines remembered.
     """
 
     __slots__ = (
@@ -252,21 +214,15 @@ class AllotmentEngine:
         "_works",
         "_m",
         "_n",
-        "_cache",
-        "_cache_size",
         "_breaks",
         "_pieces",
         "_lock",
-        "hits",
-        "misses",
     )
 
     def __init__(
         self,
         times_matrix: np.ndarray,
         works_matrix: np.ndarray | None = None,
-        *,
-        cache_size: int = _DEFAULT_CACHE_SIZE,
     ) -> None:
         times = np.ascontiguousarray(times_matrix, dtype=np.float64)
         if times.ndim != 2 or times.size == 0:
@@ -280,19 +236,14 @@ class AllotmentEngine:
         self._times = times
         self._works = works
         self._n, self._m = times.shape
-        self._cache: OrderedDict[float, GammaProfile] = OrderedDict()
-        self._cache_size = int(cache_size)
         #: the sorted row-wise prefix minima of ``times`` (built on the first
-        #: miss) and the profile computed for each piece number.
+        #: probe) and the profile computed for each piece number.
         self._breaks: list[float] | None = None
         self._pieces: dict[int, GammaProfile] = {}
-        # The LRU bookkeeping (get + move_to_end + popitem) is not atomic;
-        # the experiment runner's thread-pool fallback shares one engine per
-        # instance across concurrent runs, so guard it with a lock.
+        # The experiment runner's thread-pool fallback shares one engine per
+        # instance across concurrent runs; the lock guards the lazy build of
+        # the breakpoints and the filing of new pieces.
         self._lock = threading.Lock()
-        #: cache statistics (exposed for the speedup benchmark and tests)
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -316,29 +267,6 @@ class AllotmentEngine:
     def works_matrix(self) -> np.ndarray:
         """The stacked work matrix ``works[i, p-1] = p · t_i(p)``."""
         return self._works
-
-    def cache_info(self) -> dict[str, int]:
-        """Cache statistics: hits, misses, current size and capacity.
-
-        Read under the lock, so the three counts are taken at one moment.
-        """
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._cache),
-                "maxsize": self._cache_size,
-            }
-
-    def clear_cache(self) -> None:
-        """Drop every memoized profile, the piece table with its sorted
-        breakpoints, and reset the statistics."""
-        with self._lock:
-            self._cache.clear()
-            self._breaks = None
-            self._pieces.clear()
-            self.hits = 0
-            self.misses = 0
 
     # ------------------------------------------------------------------ #
     # the vectorized pass
@@ -387,38 +315,28 @@ class AllotmentEngine:
         return bisect_right(self._breaks, deadline + EPS)
 
     def gamma(self, deadline: float) -> GammaProfile:
-        """The (memoized) vectorized γ profile for ``deadline``.
+        """The vectorized γ profile for ``deadline``, memoized per piece of γ.
 
-        A deadline seen before (up to quantization) is an LRU hit.  A miss
-        in a piece of γ already computed is answered from the piece table;
-        only a miss in a new piece runs the vectorized pass.
+        Only the first probe of a piece runs the vectorized pass; later
+        probes in the piece return its profile (seen from their own
+        deadline).  ``d <= 0`` and NaN have no piece and are computed
+        afresh.
 
         Thread-safe: concurrent callers may redundantly compute the same
-        profile (the vectorized pass is cheap and side-effect free) but the
-        cache structures themselves are never corrupted.
+        piece (the vectorized pass is cheap and side-effect free), but the
+        first one filed is the one every caller gets.
         """
-        key = quantize_deadline(deadline)
         deadline = float(deadline)
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._cache.move_to_end(key)
-                return cached
-            self.misses += 1
             piece_number = self._piece_number(deadline)
             piece = self._pieces.get(piece_number)
-        if piece is not None:
-            profile = piece.at(deadline)
-        else:
-            profile = self._compute(deadline)
-        with self._lock:
-            if piece_number is not None:
-                self._pieces.setdefault(piece_number, profile)
-            self._cache[key] = profile
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return profile
+        if piece is None:
+            piece = self._compute(deadline)
+            if piece_number is None:
+                return piece
+            with self._lock:
+                piece = self._pieces.setdefault(piece_number, piece)
+        return piece if piece.deadline == deadline else piece.at(deadline)
 
     # ------------------------------------------------------------------ #
     # derived quantities (each a thin view over the memoized pass)

@@ -205,8 +205,8 @@ class Instance:
 
         Built lazily from the stacked profile matrices on first use and then
         shared by every canonical-allotment consumer (schedulers, lower
-        bounds, partition), so repeated dual-search guesses hit its LRU
-        cache.  The engine is dropped on pickling (worker processes rebuild
+        bounds, partition), so repeated dual-search guesses hit its piece
+        table.  The engine is dropped on pickling (worker processes rebuild
         their own).
         """
         if self._engine is None:
@@ -216,15 +216,6 @@ class Instance:
 
             self._engine = AllotmentEngine(self.times_matrix, self.works_matrix)
         return self._engine
-
-    def engine_cache_info(self) -> dict | None:
-        """Memo statistics of the engine, or ``None`` before its first use.
-
-        Non-forcing: unlike :attr:`engine`, asking for the statistics of a
-        kernel run that never probed γ does not build (and stack matrices
-        for) an engine nobody used.
-        """
-        return None if self._engine is None else self._engine.cache_info()
 
     @property
     def times_matrix(self) -> np.ndarray:

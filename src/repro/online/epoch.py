@@ -35,6 +35,7 @@ from typing import Callable, Generator
 
 import numpy as np
 
+from ..core.mrt import MRTResult
 from ..exceptions import ModelError, SchedulingError
 from ..model.instance import Instance
 from ..model.schedule import Schedule
@@ -47,7 +48,7 @@ __all__ = [
     "EpochReport",
     "EpochRescheduler",
     "ReplayResult",
-    "engine_stats",
+    "certificate",
     "plan_batch",
 ]
 
@@ -58,12 +59,12 @@ def plan_batch(
     plan_cache: PlanCache | None,
     algorithm: str,
     params_json: str,
-) -> tuple[Schedule, float, dict]:
+) -> tuple[Schedule, float, dict | None]:
     """Schedule one epoch batch, memoised through the plan cache.
 
-    Returns ``(schedule, compute_ms, engine)``.  On a cache hit the stored
-    plan is materialised against ``batch`` and the *recorded* engine
-    counters are returned, so a warm replay reports byte-identical epochs
+    Returns ``(schedule, compute_ms, certificate)``.  On a cache hit the
+    stored plan is materialised against ``batch`` and the *recorded*
+    certificate is returned, so a warm replay reports byte-identical epochs
     (``compute_ms`` is the only field a hit may change).  A failed epoch
     caches nothing — the scheduler's exception propagates before ``store``.
     """
@@ -73,7 +74,7 @@ def plan_batch(
         return (
             schedule,
             (time.perf_counter() - compute_start) * 1e3,
-            engine_stats(batch),
+            certificate(scheduler),
         )
     key = plan_key(batch, algorithm, params_json)
     compute_start = time.perf_counter()
@@ -83,29 +84,31 @@ def plan_batch(
         return (
             schedule,
             (time.perf_counter() - compute_start) * 1e3,
-            plan.engine_stats(),
+            plan.certificate,
         )
     schedule = scheduler.schedule(batch)
     compute_ms = (time.perf_counter() - compute_start) * 1e3
-    engine = engine_stats(batch)
-    plan_cache.store(key, CachedPlan.from_schedule(schedule, engine))
-    return schedule, compute_ms, engine
+    found = certificate(scheduler)
+    plan_cache.store(key, CachedPlan.from_schedule(schedule, found))
+    return schedule, compute_ms, found
 
 
-def engine_stats(batch: Instance) -> dict:
-    """Memo statistics of one epoch batch, in the :class:`EpochReport` shape.
+def certificate(scheduler: Scheduler) -> dict | None:
+    """The paper's search facts behind the batch ``scheduler`` just planned.
 
-    Each epoch schedules a *fresh* subset instance, so its engine counters
-    are exactly that epoch's γ(d) evaluations — no cross-epoch reset needed.
-    Kernels that never probe γ (the engine was never built) report zeros.
+    For MRT: the dual guesses tried, the branch that built the returned
+    schedule, the lower bound and the makespan's ratio to it (all from
+    :class:`~repro.core.mrt.MRTResult`).  ``None`` for kernels that run no
+    dual search.
     """
-    info = batch.engine_cache_info()
-    if info is None:
-        return {"memo_hits": 0, "memo_misses": 0, "guesses": 0}
+    result = getattr(scheduler, "last_result", None)
+    if not isinstance(result, MRTResult):
+        return None
     return {
-        "memo_hits": info["hits"],
-        "memo_misses": info["misses"],
-        "guesses": info["hits"] + info["misses"],
+        "guesses": len(result.search.trace),
+        "branch": result.branch,
+        "lower_bound": result.lower_bound,
+        "ratio_to_lower_bound": result.ratio_to_lower_bound,
     }
 
 
@@ -130,12 +133,10 @@ class EpochReport:
     compute_ms:
         Wall-clock milliseconds the offline kernel spent scheduling this
         epoch's batch (the dichotomic search, not the replay bookkeeping).
-    engine:
-        Allotment-engine memo statistics of the batch: ``memo_hits``,
-        ``memo_misses`` (the distinct deadlines looked up for the first time;
-        a miss may be answered from the engine's piece table) and
-        ``guesses`` (every γ(d) probe, i.e. hits + misses).  All zero for
-        kernels that never probe γ.
+    certificate:
+        The batch's dual-search facts (see :func:`certificate`):
+        ``guesses`` (dual guesses tried), ``branch``, ``lower_bound`` and
+        ``ratio_to_lower_bound``; ``None`` for kernels other than MRT.
     """
 
     index: int
@@ -145,7 +146,7 @@ class EpochReport:
     makespan: float
     waiting: float
     compute_ms: float = 0.0
-    engine: dict = field(default_factory=dict)
+    certificate: dict | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -156,7 +157,7 @@ class EpochReport:
             "makespan": self.makespan,
             "waiting": self.waiting,
             "compute_ms": self.compute_ms,
-            "engine": dict(self.engine),
+            "certificate": None if self.certificate is None else dict(self.certificate),
         }
 
 
@@ -219,14 +220,6 @@ class ReplayResult:
         """Total kernel compute time across epochs (milliseconds)."""
         return float(sum(epoch.compute_ms for epoch in self.epochs))
 
-    def engine_totals(self) -> dict:
-        """Allotment-engine memo statistics summed over every epoch."""
-        totals = {"memo_hits": 0, "memo_misses": 0, "guesses": 0}
-        for epoch in self.epochs:
-            for key in totals:
-                totals[key] += int(epoch.engine.get(key, 0))
-        return totals
-
     def metrics(self) -> dict:
         """Summary metrics in the shape streamed by the CLI and the service."""
         flows = self.flow_times()
@@ -244,7 +237,11 @@ class ReplayResult:
             "max_stretch": float(stretches.max()),
             "utilization": self.utilization(),
             "compute_ms": self.compute_ms(),
-            "engine": self.engine_totals(),
+            "guesses": sum(
+                epoch.certificate["guesses"]
+                for epoch in self.epochs
+                if epoch.certificate is not None
+            ),
         }
 
 
@@ -354,7 +351,7 @@ class EpochRescheduler:
             batch = instance.subset(
                 pending, name=f"{instance.name}@epoch{len(epochs)}"
             )
-            batch_schedule, compute_ms, batch_engine = plan_batch(
+            batch_schedule, compute_ms, batch_certificate = plan_batch(
                 self._scheduler, batch, self.plan_cache,
                 self.algorithm, self._params_json,
             )
@@ -379,7 +376,7 @@ class EpochRescheduler:
                 makespan=batch_schedule.makespan(),
                 waiting=float(np.mean([clock - releases[i] for i in pending])),
                 compute_ms=compute_ms,
-                engine=batch_engine,
+                certificate=batch_certificate,
             )
             epochs.append(report)
             yield report

@@ -4,10 +4,10 @@ Every epoch of a replay schedules one *batch* (the pending subset) with an
 offline kernel; for overlapping traces and re-runs those batches repeat
 exactly, and the kernel's dichotomic search is the dominant cost.  This
 module caches the *outcome* of that search — the placed entries plus the
-allotment-engine counters — keyed by a content address in the style of
+search's certificate — keyed by a content address in the style of
 :meth:`repro.model.instance.Instance.fingerprint`:
 
-``plan_key = blake2b-128( b"repro-plan-v1" || batch.fingerprint()
+``plan_key = blake2b-128( b"repro-plan-v2" || batch.fingerprint()
                           || algorithm || canonical-params-JSON )``
 
 The batch fingerprint already covers processor count, release dates and the
@@ -19,8 +19,9 @@ scheduler's answer for one batch, whatever replays it.  The
 ``(trace-prefix, kernel)`` pair is the cluster's *routing* key (see
 :func:`repro.service.cluster.router.replay_routing_key`), not the plan key.
 
-Engine counters are stored *inside* the cached plan so a warm replay
-reports the identical deterministic ``engine`` block as a cold one —
+The certificate (:func:`repro.online.epoch.certificate`) is stored
+*inside* the cached plan so a warm replay reports the identical
+deterministic ``certificate`` block as a cold one —
 ``compute_ms`` is the only field a cache hit may change.  A golden
 digest in ``tests/test_contracts.py`` pins the key, so silent drift is a
 test failure, not a stale-cache incident.
@@ -51,7 +52,7 @@ def plan_key(batch: Instance, algorithm: str, params_json: str) -> str:
     so old processes never replay a plan they cannot rebuild.
     """
     digest = blake2b(digest_size=16)
-    digest.update(b"repro-plan-v1")
+    digest.update(b"repro-plan-v2")
     digest.update(batch.fingerprint().encode())
     digest.update(algorithm.encode())
     digest.update(params_json.encode())
@@ -60,7 +61,7 @@ def plan_key(batch: Instance, algorithm: str, params_json: str) -> str:
 
 @dataclass(frozen=True)
 class CachedPlan:
-    """One memoised batch plan: placed entries + deterministic engine stats.
+    """One memoised batch plan: placed entries + the search's certificate.
 
     Entries are stored batch-relative ``(task_index, start, first_proc,
     num_procs)`` tuples in placement order — rebuilding preserves entry
@@ -69,17 +70,22 @@ class CachedPlan:
 
     algorithm: str
     entries: tuple[tuple[int, float, int, int], ...]
-    engine: tuple[tuple[str, int], ...]
+    #: the certificate's items in wire order, ``None`` for kernels without one
+    certificate_items: tuple[tuple[str, object], ...] | None
 
     @classmethod
-    def from_schedule(cls, schedule: Schedule, engine: dict) -> "CachedPlan":
+    def from_schedule(
+        cls, schedule: Schedule, certificate: dict | None
+    ) -> "CachedPlan":
         return cls(
             algorithm=schedule.algorithm,
             entries=tuple(
                 (entry.task_index, entry.start, entry.first_proc, entry.num_procs)
                 for entry in schedule.entries
             ),
-            engine=tuple(sorted(engine.items())),
+            certificate_items=(
+                None if certificate is None else tuple(certificate.items())
+            ),
         )
 
     def build_schedule(self, batch: Instance) -> Schedule:
@@ -89,9 +95,10 @@ class CachedPlan:
             schedule.add(task_index, start, first_proc, num_procs)
         return schedule
 
-    def engine_stats(self) -> dict:
-        """The batch's γ(d) memo counters as recorded when the plan was built."""
-        return dict(self.engine)
+    @property
+    def certificate(self) -> dict | None:
+        """The batch's certificate as recorded when the plan was built."""
+        return None if self.certificate_items is None else dict(self.certificate_items)
 
 
 class PlanCache:

@@ -245,10 +245,13 @@ class ClusterSupervisor:
             return {}
 
         def probe(url: str) -> dict | None:
+            client = ServiceClient(url, timeout=timeout, retries=0)
             try:
-                return call(ServiceClient(url, timeout=timeout, retries=0))
+                return call(client)
             except Exception:
                 return None
+            finally:
+                client.close()
 
         with ThreadPoolExecutor(max_workers=min(len(urls), 16)) as pool:
             snapshots = pool.map(probe, (url for _, url in urls))

@@ -276,6 +276,38 @@ class TestRespawn:
             handle.close()
 
 
+class TestFanOutClosesClients:
+    def test_every_fan_out_closes_the_clients_it_opens(self, monkeypatch):
+        """Each fan-out opens one client per shard; leaving them open would
+        leave one keep-alive socket per shard for the garbage collector."""
+        from repro.service.cluster import supervisor as supervisor_module
+
+        opened: list[ServiceClient] = []
+        closed: list[ServiceClient] = []
+
+        class CountingClient(ServiceClient):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+            def close(self) -> None:
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(supervisor_module, "ServiceClient", CountingClient)
+        fleet = supervisor_module.ClusterSupervisor(
+            2, spec=ShardSpec(workers=2), backend="thread", respawn=False
+        ).start()
+        try:
+            assert all(fleet.shard_metrics().values())
+            assert all(fleet.purge_all(all=True).values())
+            assert fleet.gather_trace_components("x") == []
+        finally:
+            fleet.close()
+        assert len(opened) == 3 * 2
+        assert sorted(map(id, closed)) == sorted(map(id, opened))
+
+
 # --------------------------------------------------------------------------- #
 # thread-backend liveness detection (no subprocess required)
 # --------------------------------------------------------------------------- #

@@ -97,7 +97,7 @@ SCHEMAS: dict[str, frozenset[str]] = {
     "model.schedule.Schedule": frozenset({"algorithm", "entries"}),
     "online.epoch.EpochReport": frozenset(
         {"index", "start", "end", "num_tasks", "makespan", "waiting",
-         "compute_ms", "engine"}
+         "compute_ms", "certificate"}
     ),
     "obs.histogram.LatencyHistogram": frozenset(
         {"scheme", "count", "sum_ms", "min_ms", "max_ms", "counts"}
@@ -121,6 +121,16 @@ SCHEMAS: dict[str, frozenset[str]] = {
          "hit_rate"}
     ),
 }
+
+#: The keys of an MRT epoch's ``certificate`` block.
+CERTIFICATE_KEYS = frozenset({"guesses", "branch", "lower_bound", "ratio_to_lower_bound"})
+
+#: The keys of ``ReplayResult.metrics()``, the summary of ``POST /replay``.
+REPLAY_METRICS_KEYS = frozenset(
+    {"kernel", "algorithm", "quantum", "num_epochs", "num_tasks", "makespan",
+     "mean_flow", "max_flow", "mean_stretch", "max_stretch", "utilization",
+     "compute_ms", "guesses"}
+)
 
 #: The keys of each record in ``Schedule.as_dict()["entries"]``.
 SCHEDULE_ENTRY_KEYS = frozenset(
@@ -204,6 +214,12 @@ class TestSerializedShapes:
             assert document["entries"]
             for entry in document["entries"]:
                 assert set(entry) == SCHEDULE_ENTRY_KEYS
+        if qualname == "online.epoch.EpochReport":
+            assert set(document["certificate"]) == CERTIFICATE_KEYS
+
+    def test_replay_metrics_keys_match_the_table(self):
+        result = EpochRescheduler().replay(make_trace("poisson", "mixed", 6, 4, seed=1))
+        assert set(result.metrics()) == REPLAY_METRICS_KEYS
 
     def test_every_as_dict_class_is_in_the_table(self):
         found = set()
@@ -245,7 +261,7 @@ class TestFingerprintDigests:
             "3fc9e4f7cbfd9d3bc3ca2c2836dd51c69a7a83e15ea3af3fa2ebe4c9349c3ae2"
         )
         key = plan_key(batch, "mrt", PlanCache.params_json(None))
-        assert key == "036b169b4e90748d99880f8d89150b0c"
+        assert key == "2c69981ddc8f7202f8e49916512b43f2"
 
 
 # ---------------------------------------------------------------------- #

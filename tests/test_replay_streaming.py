@@ -173,7 +173,7 @@ class TestPlanCacheByteIdentity:
     @pytest.mark.parametrize("kernel", ["barrier"])
     def test_warm_replay_is_byte_identical_to_cold(self, kernel):
         """(b) Same trace, shared cache: run 2 rebuilds every epoch plan from
-        the cache yet streams the identical document — engine counters
+        the cache yet streams the identical document — certificates
         included, because they are stored inside the cached plan."""
         cache = PlanCache(256)
         trace = make_trace("pareto", "mixed", 16, 6, seed=7)
@@ -240,7 +240,7 @@ class TestPlanCacheAccounting:
         for batch in batches:
             schedule = make_rescheduler("barrier", "mrt")._scheduler.schedule(batch)
             key = plan_key(batch, "mrt", PlanCache.params_json(None))
-            plans[key] = CachedPlan.from_schedule(schedule, {"guesses": 1})
+            plans[key] = CachedPlan.from_schedule(schedule, None)
             cache.store(key, plans[key])
         assert len(cache) == 2
         assert cache.stats.evictions_lru == 1
@@ -253,10 +253,18 @@ class TestPlanCacheAccounting:
     def test_rebuilt_schedule_matches_the_original(self):
         batch = make_trace("poisson", "mixed", 8, 4, seed=11)
         schedule = make_rescheduler("barrier", "mrt")._scheduler.schedule(batch)
-        plan = CachedPlan.from_schedule(schedule, {"guesses": 3})
+        found = {"guesses": 3, "branch": "two-shelves", "lower_bound": 1.5,
+                 "ratio_to_lower_bound": 1.25}
+        plan = CachedPlan.from_schedule(schedule, found)
         rebuilt = plan.build_schedule(batch)
         assert rebuilt.as_dict() == schedule.as_dict()
-        assert plan.engine_stats() == {"guesses": 3}
+        assert plan.certificate == found
+        # the plan keeps its own copy, in wire order
+        found["guesses"] = 99
+        assert list(plan.certificate) == ["guesses", "branch", "lower_bound",
+                                          "ratio_to_lower_bound"]
+        assert plan.certificate["guesses"] == 3
+        assert CachedPlan.from_schedule(schedule, None).certificate is None
 
 
 class TestPlanKeySchema:
@@ -305,6 +313,14 @@ class TestDaemonStreamEndToEnd:
         yield server
         server.close()
 
+    @pytest.fixture
+    def client(self, server):
+        from repro.service import ServiceClient
+
+        client = ServiceClient(server.url)
+        yield client
+        client.close()
+
     @pytest.mark.parametrize("kernel", ["barrier"])
     def test_daemon_stream_matches_in_process_generator(self, server, kernel):
         """(d) The HTTP chunk stream carries exactly the NDJSON lines the
@@ -339,10 +355,7 @@ class TestDaemonStreamEndToEnd:
             b = dict(local_epoch, compute_ms=0.0)
             assert a == b
 
-    def test_service_client_reassembles_the_stream(self, server):
-        from repro.service import ServiceClient
-
-        client = ServiceClient(server.url)
+    def test_service_client_reassembles_the_stream(self, client):
         seen: list[dict] = []
         final = client.replay(
             generate={"pattern": "poisson", "family": "mixed", "tasks": 10,
@@ -354,10 +367,7 @@ class TestDaemonStreamEndToEnd:
         assert final["validation"]["events"] > 0
         assert final["elapsed_ms"] > 0
 
-    def test_plan_cache_surfaces_in_daemon_metrics_and_purge(self, server):
-        from repro.service import ServiceClient
-
-        client = ServiceClient(server.url)
+    def test_plan_cache_surfaces_in_daemon_metrics_and_purge(self, client):
         client.replay(
             generate={"pattern": "burst", "family": "mixed", "tasks": 10,
                       "procs": 4, "seed": 30},
